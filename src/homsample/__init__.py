@@ -7,7 +7,6 @@ Ships baseline samplers, connectivity metrics, a small graph convolutional
 network for transfer experiments, graphon generators, and a CLI harness.
 """
 
-from ._kernels import BACKEND_ENV_VAR, HAVE_NUMBA, resolve_backend
 from .errors import DataError, NumericalError
 from .features import (
     NormalizedFeatures,

@@ -1,71 +1,23 @@
-"""Hot kernels over CSR graphs: numba-jitted with pure-numpy fallbacks.
+"""Hot kernels over symmetric CSR graphs, one numpy/stdlib implementation each.
 
-The backend is selected per call, defaulting to the ``HOMSAMPLE_BACKEND``
-environment variable (``numba`` or ``numpy``) and falling back to numba
-whenever it is importable. Both backends are deterministic; floating-point
-sums may differ across backends by reduction order, within ~1e-9 relative.
+All three are deterministic: the same CSR arrays give the same result on
+every run and machine.
 """
 
 from __future__ import annotations
 
-import os
+import heapq
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-BACKEND_ENV_VAR = "HOMSAMPLE_BACKEND"
-BACKENDS = ("numba", "numpy")
-
-# Edge rows processed per block in the vectorized fallbacks; fixed so that
-# results do not depend on available memory.
+# Edge rows processed per block in edge_distance_sum; fixed so that results
+# do not depend on available memory.
 _CHUNK = 1 << 15
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Return the effective backend name for ``backend`` (or the env default)."""
-    b = backend or os.environ.get(BACKEND_ENV_VAR) or ("numba" if HAVE_NUMBA else "numpy")
-    b = b.strip().lower()
-    if b not in BACKENDS:
-        raise ValueError(f"unknown backend {b!r}; expected one of {BACKENDS}")
-    if b == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return b
-
-
-# ---------------------------------------------------------------------------
-# squared-distance sum over undirected edges: sum_{(i,j) in E, i<j} |x_i - x_j|^2
-
-
-@njit(cache=True)
-def _edge_distance_sum_numba(indptr, indices, x):
-    n = indptr.shape[0] - 1
-    d = x.shape[1]
-    total = 0.0
-    for i in range(n):
-        for p in range(indptr[i], indptr[i + 1]):
-            j = indices[p]
-            if j > i:
-                acc = 0.0
-                for c in range(d):
-                    diff = x[i, c] - x[j, c]
-                    acc += diff * diff
-                total += acc
-    return total
-
-
-def _edge_distance_sum_numpy(indptr, indices, x):
+def edge_distance_sum(indptr, indices, x) -> float:
+    """Sum of squared row distances of ``x`` over the undirected CSR edges."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     n = indptr.shape[0] - 1
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     once = src < indices  # count each undirected edge once
@@ -77,148 +29,64 @@ def _edge_distance_sum_numpy(indptr, indices, x):
     return total
 
 
-# ---------------------------------------------------------------------------
-# connected components via BFS; labels are assigned in scan order of the
-# first-seen root, so both backends produce identical labelings.
+def _jump(parent: np.ndarray) -> np.ndarray:
+    """Pointer-jump until every node points at a fixed point of ``parent``."""
+    while True:
+        nxt = parent[parent]
+        if np.array_equal(nxt, parent):
+            return parent
+        parent = nxt
 
 
-@njit(cache=True)
-def _component_labels_numba(indptr, indices):
+def component_labels(indptr, indices):
+    """Connected components of a symmetric CSR graph: (count, labels).
+
+    Hook-and-jump (Shiloach-Vishkin): each round hooks every root onto the
+    smallest root across its edges, then pointer-jumps to stars, until no
+    root changes. Roots only decrease, so each ends as its component's
+    smallest node; labels number components in that order, which is the
+    first-seen-root order of a BFS scanning nodes 0..n-1.
+    """
     n = indptr.shape[0] - 1
-    labels = np.full(n, -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    count = 0
-    for root in range(n):
-        if labels[root] >= 0:
-            continue
-        labels[root] = count
-        queue[0] = root
-        head, tail = 0, 1
-        while head < tail:
-            v = queue[head]
-            head += 1
-            for p in range(indptr[v], indptr[v + 1]):
-                w = indices[p]
-                if labels[w] < 0:
-                    labels[w] = count
-                    queue[tail] = w
-                    tail += 1
-        count += 1
-    return count, labels
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    root = np.arange(n, dtype=np.int64)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[src], root[indices])
+        hooked = _jump(hooked)
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    roots, labels = np.unique(root, return_inverse=True)
+    return int(roots.size), labels.astype(np.int64, copy=False)
 
 
-def _component_labels_numpy(indptr, indices):
+def greedy_min_degree_order(indptr, indices, n_remove: int) -> np.ndarray:
+    """Deletion order of ``n_remove`` successive minimum-degree nodes.
+
+    Degrees are recomputed over the surviving nodes after each deletion and
+    ties delete the smaller index first. A lazy heap holds one integer key
+    ``deg * n + v`` per (node, degree) seen; degrees only fall, so a node's
+    stale keys are all larger than its live one and its first pop while
+    alive is current.
+    """
     n = indptr.shape[0] - 1
-    labels = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for root in range(n):
-        if labels[root] >= 0:
-            continue
-        labels[root] = count
-        frontier = np.array([root], dtype=np.int64)
-        while frontier.size:
-            nbrs = np.concatenate(
-                [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            )
-            nbrs = nbrs[labels[nbrs] < 0]
-            if nbrs.size == 0:
-                break
-            frontier = np.unique(nbrs)
-            labels[frontier] = count
-        count += 1
-    return count, labels
-
-
-# ---------------------------------------------------------------------------
-# greedy trace maximization: repeatedly delete the minimum-degree node
-# (smallest index on ties), updating neighbor degrees after each deletion.
-
-
-@njit(cache=True)
-def _greedy_min_degree_order_numba(indptr, indices, n_remove):
-    n = indptr.shape[0] - 1
-    deg = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        deg[i] = indptr[i + 1] - indptr[i]
-    alive = np.ones(n, dtype=np.bool_)
+    n_remove = int(n_remove)
+    bounds = indptr.tolist()
+    deg = np.diff(indptr).tolist()
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    alive = [True] * n
     out = np.empty(n_remove, dtype=np.int64)
     for t in range(n_remove):
-        best = -1
-        best_deg = n + 1
-        for i in range(n):
-            if alive[i] and deg[i] < best_deg:
-                best_deg = deg[i]
-                best = i
-        out[t] = best
-        alive[best] = False
-        for p in range(indptr[best], indptr[best + 1]):
-            w = indices[p]
+        while True:
+            v = heapq.heappop(heap) % n
+            if alive[v]:
+                break
+        out[t] = v
+        alive[v] = False
+        for w in indices[bounds[v] : bounds[v + 1]].tolist():
             if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, deg[w] * n + w)
     return out
-
-
-def _greedy_min_degree_order_numpy(indptr, indices, n_remove):
-    n = indptr.shape[0] - 1
-    work = np.diff(indptr).astype(np.int64)
-    alive = np.ones(n, dtype=bool)
-    sentinel = np.int64(n + 1)  # larger than any degree
-    out = np.empty(n_remove, dtype=np.int64)
-    for t in range(n_remove):
-        best = int(np.argmin(work))  # first occurrence = smallest index
-        out[t] = best
-        work[best] = sentinel
-        alive[best] = False
-        nbrs = indices[indptr[best] : indptr[best + 1]]
-        nbrs = nbrs[alive[nbrs]]
-        work[nbrs] -= 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-
-_IMPLS = {
-    "edge_distance_sum": {
-        "numba": _edge_distance_sum_numba,
-        "numpy": _edge_distance_sum_numpy,
-    },
-    "component_labels": {
-        "numba": _component_labels_numba,
-        "numpy": _component_labels_numpy,
-    },
-    "greedy_min_degree_order": {
-        "numba": _greedy_min_degree_order_numba,
-        "numpy": _greedy_min_degree_order_numpy,
-    },
-}
-
-
-def edge_distance_sum(indptr, indices, x, backend: str | None = None) -> float:
-    """Sum of squared row distances of ``x`` over the undirected CSR edges."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    fn = _IMPLS["edge_distance_sum"][resolve_backend(backend)]
-    return float(fn(indptr, indices, x))
-
-
-def component_labels(indptr, indices, backend: str | None = None):
-    """Connected components of a symmetric CSR graph: (count, labels)."""
-    fn = _IMPLS["component_labels"][resolve_backend(backend)]
-    count, labels = fn(indptr, indices)
-    return int(count), labels
-
-
-def greedy_min_degree_order(indptr, indices, n_remove: int, backend: str | None = None):
-    """Deletion order of ``n_remove`` successive minimum-degree nodes."""
-    fn = _IMPLS["greedy_min_degree_order"][resolve_backend(backend)]
-    return fn(indptr, indices, int(n_remove))
-
-
-def warmup(backend: str | None = None) -> None:
-    """Trigger jit compilation on tiny inputs so timings exclude compile cost."""
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.array([1, 0], dtype=np.int64)
-    x = np.ones((2, 2))
-    edge_distance_sum(indptr, indices, x, backend=backend)
-    component_labels(indptr, indices, backend=backend)
-    greedy_min_degree_order(indptr, indices, 1, backend=backend)

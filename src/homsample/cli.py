@@ -2,8 +2,7 @@
 
 Subcommands: synth, homophily, sample, metrics, train-eval, experiment,
 bench. Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure. HOMSAMPLE_THREADS caps experiment parallelism; HOMSAMPLE_BACKEND
-selects the kernel backend.
+failure. HOMSAMPLE_THREADS caps experiment parallelism.
 """
 
 from __future__ import annotations
@@ -14,19 +13,20 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import BACKENDS, HAVE_NUMBA
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 from .experiments import (
+    Cell,
     ExperimentPlan,
     run_bench,
     run_bench_dims,
+    run_cell,
     run_experiment,
     subgraph_metrics,
     write_bench_csv,
     write_summary_csv,
 )
 from .features import feature_homophily, normalize_features, trace_lower_bound
-from .gnn import SHIFT_CHOICES, GnnConfig, evaluate, train
+from .gnn import SHIFT_CHOICES, GnnConfig
 from .graph import laplacian_trace, node_index_set
 from .graphon import generate_dataset, parse_graphon_spec
 from .io_formats import (
@@ -45,13 +45,9 @@ from .io_formats import (
 from .sampling import METHODS, SampleResult, SampleSpec, sample
 
 
-class _Usage(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
-        raise _Usage(message)
+        raise UsageError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -182,35 +178,18 @@ def cmd_metrics(args) -> int:
 
 def cmd_train_eval(args) -> int:
     g, x, y = _load_dataset(args, need_labels=True)
-    spec = SampleSpec(
-        gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
+    plan = ExperimentPlan(
+        rates=(args.gamma,),
+        methods=(args.method,),
+        reps=1,
+        seed=args.seed,
+        gnn=_gnn_config(args, args.seed),
+        dataset_id=Path(args.graph).stem,
     )
-    result = sample(g, spec, x=x, labels=y)
-    cfg = _gnn_config(args, args.seed)
-    model = train(
-        result.subgraph,
-        result.features,
-        result.labels,
-        np.ones(result.subgraph.n, dtype=bool),
-        cfg,
-        n_classes=int(np.max(y)) + 1,
-    )
-    eval_mask = np.ones(g.n, dtype=bool)
-    eval_mask[result.kept.indices] = False
-    if not eval_mask.any():
-        eval_mask[:] = True
-    acc = evaluate(model, g, x, y, eval_mask)
-    print(f"accuracy = {acc:.17g}")
+    cell = Cell(rate_idx=0, method=args.method, rep=0, gamma=args.gamma, seed=args.seed)
+    report, _ = run_cell(cell, g, x, y, plan, use_raw_scores=args.use_raw_scores)
+    print(f"accuracy = {report.accuracy:.17g}")
     if args.out:
-        metrics = subgraph_metrics(result)
-        report = MetricsReport(
-            dataset=Path(args.graph).stem,
-            method=args.method,
-            gamma=args.gamma,
-            seed=args.seed,
-            accuracy=acc,
-            **metrics,
-        )
         write_report(report, args.out)
     return 0
 
@@ -222,7 +201,7 @@ def cmd_experiment(args) -> int:
         dataset_id = "synth"
     else:
         if not args.graph:
-            raise _Usage("experiment needs --graph or --synth")
+            raise UsageError("experiment needs --graph or --synth")
         g, x, y = _load_dataset(args, need_features=False)
         dataset_id = Path(args.graph).stem
     plan = ExperimentPlan(
@@ -241,24 +220,17 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.backend == "both":
-        backends = list(BACKENDS) if HAVE_NUMBA else ["numpy"]
-    elif args.backend == "auto":
-        backends = None
-    else:
-        backends = [args.backend]
     sizes = sorted(args.sizes)
-    rows = run_bench(sizes, d=args.d, gamma=args.gamma, repeats=args.repeats, backends=backends)
+    rows = run_bench(sizes, d=args.d, gamma=args.gamma, repeats=args.repeats)
     if args.dims:
         rows += run_bench_dims(
-            sorted(args.dims), m_target=sizes[-1] // 2, gamma=args.gamma,
-            repeats=args.repeats, backends=backends,
+            sorted(args.dims), m_target=sizes[-1] // 2, gamma=args.gamma, repeats=args.repeats
         )
     if args.out:
         write_bench_csv(rows, args.out)
     for r in rows:
         print(
-            f"{r.backend} m={r.m} n={r.n} d={r.d} "
+            f"m={r.m} n={r.n} d={r.d} "
             f"scores={r.t_scores:.6f}s homophily={r.t_homophily:.6f}s "
             f"select={r.t_select:.6f}s total={r.t_total:.6f}s"
         )
@@ -325,7 +297,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--gamma", type=_gamma, default=0.5)
     p.add_argument("--repeats", type=_positive_int, default=5)
-    p.add_argument("--backend", choices=["auto", "both", *BACKENDS], default="auto")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -336,14 +307,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _Usage as exc:
+    except UsageError as exc:
         print(f"homsample: usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _Usage as exc:
+    except UsageError as exc:
         print(f"homsample: usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, ValueError) as exc:

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import resolve_backend, warmup
-from .errors import DataError
+from .errors import DataError, UsageError
 from .features import feature_homophily, node_scores, normalize_features, trace_lower_bound
 from .gnn import GnnConfig, evaluate, train
 from .graph import (
@@ -49,7 +48,6 @@ class ExperimentPlan:
     metrics_only: bool = False
     dataset_id: str = "dataset"
     workers: int = 1
-    eval_on: str = "complement"  # or "all"
 
     def __post_init__(self):
         if not self.rates:
@@ -131,10 +129,18 @@ def run_cell(
     x: np.ndarray | None,
     labels: np.ndarray | None,
     plan: ExperimentPlan,
+    use_raw_scores: bool = False,
 ) -> tuple[MetricsReport, dict]:
-    """Execute one cell; returns (report, phase timings)."""
+    """Execute one cell; returns (report, phase timings).
+
+    Training (unless ``plan.metrics_only`` or labels/features are missing)
+    fits the GNN on the whole subsample and reports accuracy on the nodes it
+    did not keep, or on every node when it kept them all.
+    """
     timings: dict[str, float] = {}
-    spec = SampleSpec(gamma=cell.gamma, method=cell.method, seed=cell.seed)
+    spec = SampleSpec(
+        gamma=cell.gamma, method=cell.method, seed=cell.seed, use_raw_scores=use_raw_scores
+    )
     t0 = time.perf_counter()
     result = sample(g, spec, x=x, labels=labels)
     timings["sample"] = time.perf_counter() - t0
@@ -159,10 +165,9 @@ def run_cell(
         timings["train"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         eval_mask = np.ones(g.n, dtype=bool)
-        if plan.eval_on == "complement":
-            eval_mask[result.kept.indices] = False
-            if not eval_mask.any():  # gamma = 1 keeps everything
-                eval_mask[:] = True
+        eval_mask[result.kept.indices] = False
+        if not eval_mask.any():  # gamma = 1 keeps everything
+            eval_mask[:] = True
         accuracy = evaluate(model, g, x, labels, eval_mask)
         timings["eval"] = time.perf_counter() - t0
 
@@ -181,7 +186,9 @@ def _worker_count(plan: ExperimentPlan) -> int:
     cap = os.environ.get(THREADS_ENV_VAR)
     workers = plan.workers
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        if not cap.strip().isdecimal() or int(cap) < 1:
+            raise UsageError(f"{THREADS_ENV_VAR} must be a positive integer, got {cap!r}")
+        workers = min(workers, int(cap))
     return max(1, workers)
 
 
@@ -311,7 +318,6 @@ def run_experiment(
 
 @dataclass(frozen=True)
 class BenchRow:
-    backend: str
     m_target: int
     m: int
     n: int
@@ -330,7 +336,7 @@ class BenchRow:
         return self.t_scores + self.t_homophily + self.t_select
 
 
-BENCH_COLUMNS = ("backend", "m_target", "m", "n", "d", "t_scores", "t_homophily", "t_select", "t_total")
+BENCH_COLUMNS = ("m_target", "m", "n", "d", "t_scores", "t_homophily", "t_select", "t_total")
 
 
 def run_bench(
@@ -339,56 +345,49 @@ def run_bench(
     gamma: float = 0.5,
     avg_degree: float = 20.0,
     repeats: int = 5,
-    backends=None,
     seed: int = 0,
 ) -> list[BenchRow]:
     """Time the score/homophily/selection phases at each target edge count.
 
     Graphs come from a constant graphon at fixed expected average degree, so
     every phase grows linearly with the edge count. Per phase the minimum
-    over ``repeats`` runs is reported; jit compilation is warmed up first.
+    over ``repeats`` runs is reported.
     """
-    if backends is None:
-        backends = [resolve_backend(None)]
     rows = []
-    for backend in backends:
-        resolve_backend(backend)
-        warmup(backend)
-        for m_t in m_targets:
-            n = max(8, int(round(2.0 * m_t / avg_degree)))
-            p = min(1.0, avg_degree / max(1, n - 1))
-            ds = generate_dataset(
-                GraphonSpec(kind="constant", n=n, p=p, feature_dim=d, noise=1.0, seed=seed)
+    for m_t in m_targets:
+        n = max(8, int(round(2.0 * m_t / avg_degree)))
+        p = min(1.0, avg_degree / max(1, n - 1))
+        ds = generate_dataset(
+            GraphonSpec(kind="constant", n=n, p=p, feature_dim=d, noise=1.0, seed=seed)
+        )
+        g, x = ds.graph, ds.features
+        best = {"scores": math.inf, "homophily": math.inf, "select": math.inf}
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            xh = normalize_features(x)
+            scores = node_scores(xh)
+            t1 = time.perf_counter()
+            feature_homophily(g, xh)
+            t2 = time.perf_counter()
+            n_d = int(np.floor((1.0 - gamma) * g.n))
+            order = np.argsort(scores, kind="stable")
+            kept = np.sort(order[: g.n - n_d])
+            induced_subgraph(g, kept)
+            t3 = time.perf_counter()
+            best["scores"] = min(best["scores"], t1 - t0)
+            best["homophily"] = min(best["homophily"], t2 - t1)
+            best["select"] = min(best["select"], t3 - t2)
+        rows.append(
+            BenchRow(
+                m_target=int(m_t),
+                m=g.m,
+                n=g.n,
+                d=d,
+                t_scores=best["scores"],
+                t_homophily=best["homophily"],
+                t_select=best["select"],
             )
-            g, x = ds.graph, ds.features
-            best = {"scores": math.inf, "homophily": math.inf, "select": math.inf}
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                xh = normalize_features(x)
-                scores = node_scores(xh)
-                t1 = time.perf_counter()
-                feature_homophily(g, xh, backend=backend)
-                t2 = time.perf_counter()
-                n_d = int(np.floor((1.0 - gamma) * g.n))
-                order = np.argsort(scores, kind="stable")
-                kept = np.sort(order[: g.n - n_d])
-                induced_subgraph(g, kept)
-                t3 = time.perf_counter()
-                best["scores"] = min(best["scores"], t1 - t0)
-                best["homophily"] = min(best["homophily"], t2 - t1)
-                best["select"] = min(best["select"], t3 - t2)
-            rows.append(
-                BenchRow(
-                    backend=backend,
-                    m_target=int(m_t),
-                    m=g.m,
-                    n=g.n,
-                    d=d,
-                    t_scores=best["scores"],
-                    t_homophily=best["homophily"],
-                    t_select=best["select"],
-                )
-            )
+        )
     return rows
 
 
@@ -398,7 +397,6 @@ def run_bench_dims(
     gamma: float = 0.5,
     avg_degree: float = 20.0,
     repeats: int = 5,
-    backends=None,
     seed: int = 0,
 ) -> list[BenchRow]:
     """Companion sweep: fixed edge count, growing feature dimension."""
@@ -407,7 +405,7 @@ def run_bench_dims(
         rows.extend(
             run_bench(
                 [m_target], d=d, gamma=gamma, avg_degree=avg_degree,
-                repeats=repeats, backends=backends, seed=seed,
+                repeats=repeats, seed=seed,
             )
         )
     return rows
@@ -417,7 +415,7 @@ def write_bench_csv(rows: list[BenchRow], path) -> None:
     with open(Path(path), "w") as fh:
         fh.write(",".join(BENCH_COLUMNS) + "\n")
         for r in rows:
-            vals = [r.backend, r.m_target, r.m, r.n, r.d, r.t_scores, r.t_homophily, r.t_select, r.t_total]
+            vals = [r.m_target, r.m, r.n, r.d, r.t_scores, r.t_homophily, r.t_select, r.t_total]
             fh.write(",".join(_csv_cell(v) for v in vals) + "\n")
 
 

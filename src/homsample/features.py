@@ -81,7 +81,7 @@ def correlation_trace(xh) -> float:
     return float(np.sum(node_scores(xh)))
 
 
-def feature_homophily(g: Graph, xh, backend: str | None = None) -> float:
+def feature_homophily(g: Graph, xh) -> float:
     """Feature homophily: -(1/n) * sum over edges of |Xh_i - Xh_j|^2.
 
     Edge-wise evaluation of tr(-L XhXh^T)/n, O(dm); always <= 0.
@@ -89,7 +89,7 @@ def feature_homophily(g: Graph, xh, backend: str | None = None) -> float:
     values = xh.values if isinstance(xh, NormalizedFeatures) else np.asarray(xh, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != g.n:
         raise ValueError(f"features have {values.shape[0]} rows, graph has {g.n} nodes")
-    total = _kernels.edge_distance_sum(g.indptr, g.indices, values, backend=backend)
+    total = _kernels.edge_distance_sum(g.indptr, g.indices, values)
     h = -total / g.n if total > 0.0 else 0.0  # avoid -0.0
     assert h <= 0.0
     return h

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from .errors import NumericalError
 from .features import NormalizedFeatures, as_feature_matrix, normalize_features
 from .graph import Graph
-from .spectral import ShiftOperator
 
 SHIFT_CHOICES = ("gcn_norm", "adjacency", "laplacian")
 ACTIVATIONS = ("relu", "sigmoid")
@@ -100,13 +99,11 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
-def _as_operator(shift, cfg: GnnConfig | None = None):
-    """Accept Graph, ShiftOperator, sparse or dense matrices as the shift."""
+def _as_operator(shift):
+    """Accept a Graph (gcn_norm), a ShiftOperator, or a sparse or dense matrix."""
     if isinstance(shift, Graph):
-        return shift_matrix(shift, cfg.shift if cfg is not None else "gcn_norm")
-    if isinstance(shift, ShiftOperator):
-        return shift.matrix
-    return shift
+        return shift_matrix(shift)
+    return getattr(shift, "matrix", shift)  # spectral.ShiftOperator
 
 
 def conv_filterbank(shift, x, taps) -> np.ndarray:

@@ -142,14 +142,14 @@ def adjusted_trace(g: Graph) -> float:
     return laplacian_trace(g) / g.n
 
 
-def connected_components(g: Graph, backend: str | None = None) -> tuple[int, np.ndarray]:
+def connected_components(g: Graph) -> tuple[int, np.ndarray]:
     """Component count and a per-node component label array."""
-    return _kernels.component_labels(g.indptr, g.indices, backend=backend)
+    return _kernels.component_labels(g.indptr, g.indices)
 
 
-def laplacian_rank(g: Graph, backend: str | None = None) -> int:
+def laplacian_rank(g: Graph) -> int:
     """rank(L) = n - number of connected components; exact, no SVD needed."""
-    count, _ = connected_components(g, backend=backend)
+    count, _ = connected_components(g)
     return g.n - count
 
 
@@ -171,9 +171,3 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     nk = len(ks)
     indptr, indices = _csr_from_directed(both, nk)
     return _freeze(Graph(n=nk, m=both.shape[0] // 2, indptr=indptr, indices=indices))
-
-
-def laplacian_dense(g: Graph) -> np.ndarray:
-    """Dense L = D - A; for tests and the spectral verification module."""
-    a = g.adjacency_dense()
-    return np.diag(a.sum(axis=1)) - a

@@ -100,18 +100,14 @@ def sample_random(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResu
     return _restrict(g, kept_ids, x, labels)
 
 
-def sample_degree_greedy(
-    g: Graph, spec: SampleSpec, x=None, labels=None, backend: str | None = None
-) -> SampleResult:
+def sample_degree_greedy(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:
     """Iteratively delete the minimum-degree node, recomputing degrees.
 
     The sequential baseline that maximizes the remaining Laplacian trace
     greedily; ties delete the smaller index first.
     """
     keep_n = _keep_count(g.n, spec.gamma)
-    removed = _kernels.greedy_min_degree_order(
-        g.indptr, g.indices, g.n - keep_n, backend=backend
-    )
+    removed = _kernels.greedy_min_degree_order(g.indptr, g.indices, g.n - keep_n)
     kept_mask = np.ones(g.n, dtype=bool)
     kept_mask[removed] = False
     kept_ids = np.flatnonzero(kept_mask)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, laplacian_dense
+from .gnn import shift_matrix
+from .graph import Graph
 
 DENSE_CAP = 2000
 SHIFT_KINDS = ("adjacency", "laplacian", "gcn_norm", "custom")
@@ -44,11 +45,9 @@ def shift_from_graph(g: Graph, kind: str = "adjacency") -> ShiftOperator:
     """Dense adjacency or Laplacian shift operator of a graph."""
     if g.n > DENSE_CAP:
         raise ValueError(f"graph too large for dense shift operator (n={g.n})")
-    if kind == "adjacency":
-        return ShiftOperator(g.adjacency_dense(), kind="adjacency")
-    if kind == "laplacian":
-        return ShiftOperator(laplacian_dense(g), kind="laplacian")
-    raise ValueError(f"unsupported graph-derived shift kind {kind!r}")
+    if kind not in ("adjacency", "laplacian"):
+        raise ValueError(f"unsupported graph-derived shift kind {kind!r}")
+    return ShiftOperator(shift_matrix(g, kind).toarray(), kind=kind)
 
 
 def numerical_rank(a: np.ndarray) -> int:

@@ -5,8 +5,10 @@ import pytest
 
 import homsample as hs
 from homsample.cli import main
+from homsample.experiments import subgraph_metrics
 from homsample.io_formats import (
     read_edge_list,
+    read_features_csv,
     read_kept,
     read_report,
     write_edge_list,
@@ -135,6 +137,39 @@ def test_train_eval_smoke(tmp_path, capsys):
     assert 0.0 <= acc <= 1.0
 
 
+def test_train_eval_raw_scores_report(tmp_path, capsys):
+    ds = hs.generate_dataset(hs.GraphonSpec(
+        kind="blocks", n=80, feature_dim=3, noise=0.3, seed=8,
+        block_probs=np.array([[0.25, 0.03], [0.03, 0.25]]),
+    ))
+    x = ds.features * np.array([50.0, 1.0, 0.02]) + np.array([3.0, 0.0, -1.0])
+    write_edge_list(ds.graph, tmp_path / "g.txt")
+    write_features_csv(x, tmp_path / "x.csv")
+    write_labels_csv(ds.labels, tmp_path / "y.csv")
+    out = tmp_path / "r.json"
+    rc = main([
+        "train-eval", "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+        "--labels", str(tmp_path / "y.csv"), "--gamma", "0.4", "--seed", "7",
+        "--use-raw-scores", "--epochs", "30", "--hidden", "8", "--out", str(out),
+    ])
+    assert rc == 0
+    printed = float(capsys.readouterr().out.split("=")[1])
+    rep = read_report(out)
+    assert rep.accuracy == printed
+    assert (rep.dataset, rep.method, rep.gamma, rep.seed) == ("g", "homophily", 0.4, 7)
+    g = read_edge_list(tmp_path / "g.txt")
+    x = read_features_csv(tmp_path / "x.csv")
+
+    def metrics(raw):
+        spec = hs.SampleSpec(gamma=0.4, seed=7, use_raw_scores=raw)
+        return subgraph_metrics(hs.sample(g, spec, x=x, labels=ds.labels))
+
+    raw, standardized = metrics(True), metrics(False)
+    assert raw != standardized  # the two score choices keep different nodes here
+    for key, value in raw.items():
+        assert getattr(rep, key) == value
+
+
 def test_train_eval_divergence_exits_3(tmp_path, capsys):
     ds = hs.generate_dataset(hs.GraphonSpec(
         kind="blocks", n=40, feature_dim=4, noise=0.2, seed=6,
@@ -215,7 +250,8 @@ def test_bench_dims_sweep(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 1 + 2  # header, one size row, two dim rows
-    dims = [int(l.split(",")[4]) for l in lines[2:]]
+    col = lines[0].split(",").index("d")
+    dims = [int(l.split(",")[col]) for l in lines[2:]]
     assert dims == [4, 8]
 
 
@@ -258,12 +294,13 @@ def test_bench_trivial_run(capsys):
         assert float(line.rsplit("total=", 1)[1].rstrip("s")) > 0.0
 
 
-def test_bench_both_backends(tmp_path):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--sizes", "100", "--d", "4", "--repeats", "1",
-               "--backend", "both", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("backend,")
-    backends = {l.split(",")[0] for l in lines[1:]}
-    assert "numpy" in backends
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_threads_env_is_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HOMSAMPLE_THREADS", value)
+    rc = main([
+        "experiment", "--synth", "blocks,n=30,intra=0.2,inter=0.05,d=2,tau=0.2,seed=5",
+        "--rates", "0.5", "--methods", "random", "--reps", "2", "--metrics-only",
+        "--out", str(tmp_path / "exp"),
+    ])
+    assert rc == 1
+    assert "HOMSAMPLE_THREADS" in capsys.readouterr().err

@@ -1,78 +1,102 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 import homsample as hs
 from homsample import _kernels
 
-from util import random_graph
-
-pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
+from util import dense_laplacian, random_graph
 
 
-def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv(_kernels.BACKEND_ENV_VAR, raising=False)
-    assert _kernels.resolve_backend(None) == "numba"
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numpy")
-    assert _kernels.resolve_backend(None) == "numpy"
-    assert _kernels.resolve_backend("numba") == "numba"  # explicit overrides env
-    with pytest.raises(ValueError):
-        _kernels.resolve_backend("fortran")
+def bfs_labels_reference(g):
+    """Pure-Python BFS; components numbered in scan order of their first node."""
+    labels = [-1] * g.n
+    count = 0
+    for root in range(g.n):
+        if labels[root] >= 0:
+            continue
+        labels[root] = count
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v).tolist():
+                if labels[w] < 0:
+                    labels[w] = count
+                    queue.append(w)
+        count += 1
+    return count, labels
 
 
-def test_edge_distance_sum_backends_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = int(rng.integers(2, 80))
-        g = random_graph(rng, n, rng.uniform(0.0, 0.4))
-        x = rng.standard_normal((n, int(rng.integers(1, 12))))
-        a = _kernels.edge_distance_sum(g.indptr, g.indices, x, backend="numba")
-        b = _kernels.edge_distance_sum(g.indptr, g.indices, x, backend="numpy")
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+def greedy_order_reference(g, n_remove):
+    """Resimulate every step: recount live degrees, delete the (degree, index) minimum."""
+    alive = set(range(g.n))
+    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    order = []
+    for _ in range(n_remove):
+        v = min(alive, key=lambda u: (len(nbrs[u] & alive), u))
+        order.append(v)
+        alive.remove(v)
+    return order
 
 
-def test_edge_distance_sum_numpy_chunked_path():
+def test_edge_distance_sum_matches_dense_trace():
     rng = np.random.default_rng(1)
-    g = random_graph(rng, 400, 0.5)  # ~40k undirected edges > chunk size
-    assert g.m > _kernels._CHUNK
-    x = rng.standard_normal((400, 3))
-    a = _kernels.edge_distance_sum(g.indptr, g.indices, x, backend="numba")
-    b = _kernels.edge_distance_sum(g.indptr, g.indices, x, backend="numpy")
-    assert a == pytest.approx(b, rel=1e-9)
+    big = random_graph(rng, 400, 0.5)  # ~40k undirected edges > chunk size
+    assert big.m > _kernels._CHUNK
+    for g in [big, hs.build_graph([], n=1), random_graph(rng, 30, 0.0), random_graph(rng, 60, 0.2)]:
+        x = rng.standard_normal((g.n, 3))
+        dense = float(np.trace(x.T @ dense_laplacian(g) @ x))  # tr(X^T L X)
+        got = _kernels.edge_distance_sum(g.indptr, g.indices, x)
+        assert got == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
-def test_component_labels_backends_identical():
+def test_component_labels_match_bfs_on_random_graphs():
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        n = int(rng.integers(1, 100))
-        g = random_graph(rng, n, rng.uniform(0.0, 0.08))
-        ca, la = _kernels.component_labels(g.indptr, g.indices, backend="numba")
-        cb, lb = _kernels.component_labels(g.indptr, g.indices, backend="numpy")
-        assert ca == cb
-        assert np.array_equal(la, lb)
+    for _ in range(30):
+        n = int(rng.integers(1, 150))
+        g = random_graph(rng, n, rng.uniform(0.0, 3.0 / n))  # from isolated to one piece
+        count, labels = _kernels.component_labels(g.indptr, g.indices)
+        ref_count, ref_labels = bfs_labels_reference(g)
+        assert count == ref_count
+        assert labels.dtype == np.int64
+        assert labels.tolist() == ref_labels
 
 
-def test_greedy_order_backends_identical():
+def test_component_labels_many_components_and_deep_chains():
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(3, 60))
-        g = random_graph(rng, n, rng.uniform(0.05, 0.4))
-        k = int(rng.integers(1, n))
-        a = _kernels.greedy_min_degree_order(g.indptr, g.indices, k, backend="numba")
-        b = _kernels.greedy_min_degree_order(g.indptr, g.indices, k, backend="numpy")
-        assert np.array_equal(a, b)
+    # many components: short paths and isolated nodes under shuffled ids
+    n = 3000
+    perm = rng.permutation(n)
+    pairs = [(perm[i], perm[i + 1]) for i in range(n - 1) if i % 7 != 6]
+    g = hs.build_graph(pairs, n=n)
+    count, labels = _kernels.component_labels(g.indptr, g.indices)
+    ref_count, ref_labels = bfs_labels_reference(g)
+    assert count == ref_count > 400
+    assert labels.tolist() == ref_labels
+    # one long path whose node ids are shuffled: parent pointers form deep chains
+    n = 5000
+    perm = rng.permutation(n)
+    g = hs.build_graph(np.column_stack([perm[:-1], perm[1:]]), n=n)
+    count, labels = _kernels.component_labels(g.indptr, g.indices)
+    assert count == 1
+    assert not labels.any()
 
 
-def test_env_flag_flows_through_public_api(monkeypatch):
+def test_greedy_order_matches_resimulation():
     rng = np.random.default_rng(4)
-    g = random_graph(rng, 50, 0.2)
-    xh = hs.normalize_features(rng.standard_normal((50, 4)))
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numpy")
-    h_np = hs.feature_homophily(g, xh)
-    monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numba")
-    h_nb = hs.feature_homophily(g, xh)
-    assert h_np == pytest.approx(h_nb, rel=1e-9)
-
-
-def test_warmup_both_backends():
-    _kernels.warmup("numba")
-    _kernels.warmup("numpy")
+    graphs = [
+        hs.build_graph([(i, (i + 1) % 200) for i in range(200)]),  # all degrees tie
+        hs.build_graph([(i, j) for i in range(12) for j in range(12, 24)]),  # K_{12,12}
+        hs.build_graph([], n=5),
+    ]
+    for _ in range(12):
+        n = int(rng.integers(3, 200))
+        graphs.append(random_graph(rng, n, rng.uniform(0.5, 6.0) / n))
+    for g in graphs:
+        k = g.n - 1
+        got = _kernels.greedy_min_degree_order(g.indptr, g.indices, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == greedy_order_reference(g, k)
+    g = graphs[0]
+    assert _kernels.greedy_min_degree_order(g.indptr, g.indices, 0).size == 0

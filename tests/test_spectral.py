@@ -4,7 +4,7 @@ import pytest
 import homsample as hs
 from homsample.spectral import ShiftOperator, numerical_rank, shift_from_graph
 
-from util import random_graph
+from util import dense_laplacian, random_graph
 
 
 def planted_rank_operator(rng, n, r):
@@ -94,6 +94,21 @@ def test_leverage_identity():
     assert np.allclose(hs.node_scores(x), 4.0 * leverage, atol=1e-12)
     assert hs.leverage_identity_check(np.zeros((5, 3))) == 0.0
     assert hs.leverage_identity_check(rng.standard_normal((30, 5))) < 1e-9
+
+
+def test_shift_from_graph_matches_dense_oracles():
+    rng = np.random.default_rng(8)
+    for n, p in [(1, 0.0), (12, 0.0), (25, 0.2), (40, 0.6)]:
+        g = random_graph(rng, n, p)
+        adj = shift_from_graph(g, "adjacency")
+        lap = shift_from_graph(g, "laplacian")
+        assert (adj.kind, lap.kind) == ("adjacency", "laplacian")
+        assert np.array_equal(adj.matrix, g.adjacency_dense())
+        assert np.array_equal(lap.matrix, dense_laplacian(g))
+    with pytest.raises(ValueError, match="unsupported"):
+        shift_from_graph(g, "gcn_norm")
+    with pytest.raises(ValueError, match="too large"):
+        shift_from_graph(hs.build_graph([], n=2001), "adjacency")
 
 
 def test_shift_operator_validation():
