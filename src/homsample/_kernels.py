@@ -2,13 +2,41 @@
 
 All three are deterministic: the same CSR arrays give the same result on
 every run and machine.
+
+Importing this module also fixes glibc's allocator policy for the process
+(see ``_set_allocator_policy``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 
 import numpy as np
+
+
+def _set_allocator_policy() -> None:
+    """Serve allocations below 8 MB from the heap and keep up to 16 MB of free top.
+
+    glibc's mmap threshold starts at 128 KB and only rises after large
+    blocks are freed. Below it, every numpy temporary over 128 KB (an
+    n x hidden activation, an m x d edge gather) is mmapped and page-faulted
+    afresh on each call: measured on 2 vCPUs, that made the homophily sum
+    at m = 10k about 3x and GNN training at n = 2000 about 2x slower.
+    Larger thresholds keep more freed memory resident and raise peak RSS.
+    Without glibc (no ``libc.so.6``) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+_set_allocator_policy()
 
 # Edge rows processed per block in edge_distance_sum; fixed so that results
 # do not depend on available memory.

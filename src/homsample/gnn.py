@@ -130,19 +130,27 @@ def _activate(a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-a))
 
 
-def _forward_cached(weights, s, x, activation):
+def _shift_powers(s, z, count: int) -> list[np.ndarray]:
+    """[z, S z, ..., S^(count-1) z] by iterated shifts."""
+    powers = [z]
+    for _ in range(count - 1):
+        powers.append(s @ powers[-1])
+    return powers
+
+
+def _forward_cached(weights, s, x_powers, activation):
     """Forward pass keeping the per-layer shifted inputs for backprop.
 
-    Returns (logits, caches); caches[l] = (powers, pre_act) where powers[k]
-    holds S^k applied to the layer input.
+    ``x_powers`` are the first layer's shifted inputs (``_shift_powers`` of
+    the features). Returns (logits, caches); caches[l] = (powers, pre_act)
+    where powers[k] holds S^k applied to the layer input.
     """
-    z = x
     caches = []
     n_layers = len(weights)
+    powers = x_powers
     for l, taps in enumerate(weights):
-        powers = [z]
-        for _ in range(len(taps) - 1):
-            powers.append(s @ powers[-1])
+        if l > 0:
+            powers = _shift_powers(s, z, len(taps))
         a = powers[0] @ taps[0]
         for k in range(1, len(taps)):
             a += powers[k] @ taps[k]
@@ -161,7 +169,8 @@ def forward(model: GnnModel, g: Graph, x) -> np.ndarray:
         raise ValueError(
             f"features have width {x.shape[1]}, model expects {model.weights[0][0].shape[0]}"
         )
-    logits, _ = _forward_cached(model.weights, s, x, model.config.activation)
+    taps = len(model.weights[0])
+    logits, _ = _forward_cached(model.weights, s, _shift_powers(s, x, taps), model.config.activation)
     return logits
 
 
@@ -178,9 +187,16 @@ def masked_cross_entropy(logits, labels, mask) -> float:
     return float(-np.mean(np.log(p[np.arange(y.size), y] + 1e-300)))
 
 
-def loss_and_grads(weights, s, x, labels, mask, activation):
-    """Masked cross-entropy loss and its gradients w.r.t. every tap matrix."""
-    logits, caches = _forward_cached(weights, s, x, activation)
+def loss_and_grads(weights, s, x, labels, mask, activation, x_powers=None):
+    """Masked cross-entropy loss and its gradients w.r.t. every tap matrix.
+
+    ``x_powers``, when given, must equal ``[x, S x, ..., S^(K-1) x]`` for the
+    first layer's K taps; a caller making many calls with the same ``x``
+    computes them once.
+    """
+    if x_powers is None:
+        x_powers = _shift_powers(s, x, len(weights[0]))
+    logits, caches = _forward_cached(weights, s, x_powers, activation)
     idx = np.flatnonzero(mask)
     p = _softmax(logits)
     loss = float(-np.mean(np.log(p[idx, labels[idx]] + 1e-300)))
@@ -251,12 +267,13 @@ def train(g: Graph, x, labels, train_mask, cfg: GnnConfig, n_classes: int | None
     xh = normalizer.values
     s = shift_matrix(g, cfg.shift)
     weights = init_weights(cfg, x.shape[1], n_classes)
+    xh_powers = _shift_powers(s, xh, cfg.taps)  # the features never change
 
     m_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     v_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(weights, s, xh, labels, mask, cfg.activation)
+        loss, grads = loss_and_grads(weights, s, xh, labels, mask, cfg.activation, xh_powers)
         if not np.isfinite(loss):
             raise NumericalError(f"diverged: non-finite loss at epoch {epoch}")
         history[epoch] = loss

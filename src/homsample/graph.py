@@ -77,19 +77,29 @@ class NodeIndexSet:
         return np.searchsorted(self.indices, np.asarray(old_ids, dtype=np.int64))
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, flattened (as ``np.unique``).
+
+    A sort plus an adjacent-difference mask: numpy's plain ``np.unique``
+    takes a slower hash path for integers.
+    """
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def node_index_set(ids, n: int) -> NodeIndexSet:
     """Build a NodeIndexSet from arbitrary (possibly unsorted) unique ids."""
-    idx = np.unique(np.asarray(ids, dtype=np.int64))
+    idx = _sorted_distinct(np.asarray(ids, dtype=np.int64))
     return NodeIndexSet(indices=idx, n_original=int(n))
 
 
-def _csr_from_directed(both: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays from lexicographically sorted directed edge rows."""
-    counts = np.bincount(both[:, 0], minlength=n) if both.size else np.zeros(n, dtype=np.int64)
+def _csr_from_directed(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays from directed edges sorted by (src, dst)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.ascontiguousarray(both[:, 1]) if both.size else np.empty(0, dtype=np.int64)
-    return indptr, indices
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, np.ascontiguousarray(dst, dtype=np.int64)
 
 
 def _freeze(g: Graph) -> Graph:
@@ -124,10 +134,11 @@ def build_graph(edges, n: int | None = None) -> Graph:
     if n < 1:
         raise DataError("empty graph: node count must be at least 1")
     e = e[e[:, 0] != e[:, 1]]  # self-loops are trace-neutral under L = D - A
-    both = np.concatenate([e, e[:, ::-1]], axis=0)
-    both = np.unique(both, axis=0) if both.size else both
-    indptr, indices = _csr_from_directed(both, n)
-    return _freeze(Graph(n=n, m=both.shape[0] // 2, indptr=indptr, indices=indices))
+    # one int64 key u*n + v per directed edge: sorting the keys sorts the
+    # rows lexicographically
+    key = _sorted_distinct(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    indptr, indices = _csr_from_directed(*np.divmod(key, n), n)
+    return _freeze(Graph(n=n, m=key.size // 2, indptr=indptr, indices=indices))
 
 
 def laplacian_trace(g: Graph) -> float:
@@ -167,7 +178,6 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
     emask = kmask[src] & kmask[g.indices]
     # relabeling is monotone, so CSR row/column order is preserved
-    both = np.column_stack([new_id[src[emask]], new_id[g.indices[emask]]])
     nk = len(ks)
-    indptr, indices = _csr_from_directed(both, nk)
-    return _freeze(Graph(n=nk, m=both.shape[0] // 2, indptr=indptr, indices=indices))
+    indptr, indices = _csr_from_directed(new_id[src[emask]], new_id[g.indices[emask]], nk)
+    return _freeze(Graph(n=nk, m=indices.size // 2, indptr=indptr, indices=indices))

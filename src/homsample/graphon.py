@@ -3,12 +3,17 @@
 Nodes draw latent positions u_i uniformly on [0,1]; each unordered pair
 (i,j) becomes an edge independently with probability W(u_i, u_j). Supported
 graphon families: constant, piecewise-constant blocks (stochastic block
-model form), and a symmetric grid of cell values. Features derive from the
-latent positions only, keeping them conditionally independent of the edges.
+model form), and a symmetric grid of cell values. All three are
+piecewise-constant, so one O(n + m) path samples them: nodes are grouped by
+block, and within each block pair the edges are placed by geometric skips
+over the pair index space (Batagelj & Brandes, Phys. Rev. E 71, 036113,
+2005). Features derive from the latent positions only, keeping them
+conditionally independent of the edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,14 +23,10 @@ from .graph import Graph, build_graph
 
 KINDS = ("constant", "blocks", "grid")
 
-# Rows of the pair-probability matrix sampled per block; fixed so the draw
-# sequence (hence the graph) depends only on the seed.
-_ROW_CHUNK = 512
 
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent counter-based stream per (seed, purpose)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
 
 
 @dataclass(frozen=True)
@@ -91,41 +92,76 @@ class GraphonSpec:
             np.searchsorted(bounds, u, side="right"), self.k_blocks - 1
         ).astype(np.int64)
 
-    def w_rows(self, u_rows: np.ndarray, u_all: np.ndarray) -> np.ndarray:
-        """W(u_i, u_j) for a block of rows against all columns."""
+    def block_structure(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(block id per node, (k, k) block probabilities) for latent positions ``u``.
+
+        Constant is one block; grid is ``r`` equal-width cells with the grid
+        values as probabilities.
+        """
         if self.kind == "constant":
-            return np.full((u_rows.size, u_all.size), self.p)
+            return np.zeros(u.size, dtype=np.int64), np.array([[self.p]])
         if self.kind == "blocks":
-            bi = self.blocks_of(u_rows)
-            bj = self.blocks_of(u_all)
-            return self.block_probs[np.ix_(bi, bj)]
+            return self.blocks_of(u), self.block_probs
         r = self.grid.shape[0]
-        ci = np.minimum((u_rows * r).astype(np.int64), r - 1)
-        cj = np.minimum((u_all * r).astype(np.int64), r - 1)
-        return self.grid[np.ix_(ci, cj)]
+        return np.minimum((u * r).astype(np.int64), r - 1), self.grid
+
+
+def _skip_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Sorted indices in [0, total), each present independently with probability p.
+
+    Gaps between present indices are geometric, so the cost is O(kept), not
+    O(total). Steps are clipped at ``total + 1``, which still passes the end
+    from any position, so that the running sum cannot overflow for tiny p.
+    """
+    parts = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while p > 0.0 and last < total - 1:
+        mean = (total - 1 - last) * p
+        steps = np.minimum(rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16), total + 1)
+        at = last + np.cumsum(steps)
+        parts.append(at[: np.searchsorted(at, total)])
+        last = int(at[-1])
+    return np.concatenate(parts)
+
+
+def _unrank_triangle(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, at linear indices t = j(j-1)/2 + i.
+
+    The float square root can land one off near a triangular number; the
+    two integer comparisons move j back into place.
+    """
+    t = np.asarray(t, dtype=np.int64)
+    j = ((1.0 + np.sqrt(8.0 * t + 1.0)) * 0.5).astype(np.int64)
+    j -= j * (j - 1) // 2 > t
+    j += (j + 1) * j // 2 <= t
+    return t - j * (j - 1) // 2, j
 
 
 def sample_graphon_graph(spec: GraphonSpec) -> tuple[Graph, np.ndarray]:
-    """Sample (graph, latent positions) from the graphon."""
-    rng = _rng(spec.seed, 0)
-    n = spec.n
-    u = rng.uniform(size=n)
-    rows_u: list[np.ndarray] = []
-    rows_v: list[np.ndarray] = []
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        probs = spec.w_rows(u[lo:hi], u)
-        draw = rng.uniform(size=probs.shape) < probs
-        # upper triangle only: each unordered pair decided once
-        ii, jj = np.nonzero(draw)
-        ii = ii + lo
-        keep = jj > ii
-        rows_u.append(ii[keep])
-        rows_v.append(jj[keep])
-    uu = np.concatenate(rows_u) if rows_u else np.empty(0, dtype=np.int64)
-    vv = np.concatenate(rows_v) if rows_v else np.empty(0, dtype=np.int64)
-    g = build_graph(np.column_stack([uu, vv]) if uu.size else np.empty((0, 2), dtype=np.int64), n=n)
-    return g, u
+    """Sample (graph, latent positions) from the graphon in O(n + m)."""
+    u = _rng(spec.seed, 0).uniform(size=spec.n)
+    block, probs = spec.block_structure(u)
+    order = np.argsort(block, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(block, minlength=probs.shape[0]))])
+    members = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    src: list[np.ndarray] = []
+    dst: list[np.ndarray] = []
+    for a, ma in enumerate(members):
+        for c in range(a, len(members)):
+            mc = members[c]
+            # one stream per block pair: its edges do not depend on how many
+            # draws other pairs consumed
+            rng = _rng(spec.seed, 2, a, c)
+            if a == c:
+                at = _skip_positions(rng, ma.size * (ma.size - 1) // 2, float(probs[a, a]))
+                i, j = _unrank_triangle(at)
+            else:
+                at = _skip_positions(rng, ma.size * mc.size, float(probs[a, c]))
+                i, j = np.divmod(at, mc.size)
+            src.append(ma[i])
+            dst.append(mc[j])
+    edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
+    return build_graph(edges, n=spec.n), u
 
 
 def homophilic_features(u: np.ndarray, spec: GraphonSpec) -> tuple[np.ndarray, np.ndarray]:

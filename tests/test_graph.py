@@ -32,6 +32,40 @@ def test_build_matches_dense_symmetrized_reference():
     assert np.array_equal(g.adjacency_dense(), ref)
 
 
+def _unique_rows_csr(raw, n):
+    """Oracle CSR: symmetrize, drop self-loops, dedup rows with np.unique(axis=0)."""
+    e = raw[raw[:, 0] != raw[:, 1]]
+    both = np.unique(np.concatenate([e, e[:, ::-1]]), axis=0)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(both[:, 0], minlength=n))])
+    return indptr, both[:, 1]
+
+
+def test_build_csr_matches_unique_rows_oracle():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 200))
+        raw = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        # repeated rows in both orientations; ids only up to n - 1, and a
+        # declared n up to n + 2 adds isolated nodes
+        raw = np.concatenate([raw, raw[: raw.shape[0] // 2, ::-1], raw[: raw.shape[0] // 3]])
+        n_decl = n + trial % 3
+        indptr, indices = _unique_rows_csr(raw, n_decl)
+        g = hs.build_graph(raw, n=n_decl)
+        assert g.n == n_decl and g.m == indices.size // 2
+        assert np.array_equal(g.indptr, indptr) and g.indptr.dtype == np.int64
+        assert np.array_equal(g.indices, indices) and g.indices.dtype == np.int64
+    g = hs.build_graph(np.empty((0, 2), dtype=np.int64), n=4)
+    assert g.m == 0 and g.indptr.tolist() == [0] * 5 and g.indices.size == 0
+
+
+def test_node_index_set_matches_np_unique():
+    rng = np.random.default_rng(12)
+    for size in (1, 2, 17, 1000):
+        ids = rng.integers(0, 50, size=size)
+        ks = node_index_set(ids, 50)
+        assert np.array_equal(ks.indices, np.unique(ids))
+
+
 def test_build_errors():
     with pytest.raises(DataError, match="empty graph"):
         hs.build_graph([])

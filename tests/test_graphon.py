@@ -1,15 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import homsample as hs
 from homsample.errors import DataError
-from homsample.graphon import GraphonSpec, parse_graphon_spec, two_block_spec
+from homsample.graphon import (
+    GraphonSpec,
+    _skip_positions,
+    _unrank_triangle,
+    parse_graphon_spec,
+    two_block_spec,
+)
 from homsample.sampling import SampleSpec
 
 
 def test_constant_one_gives_complete_graph():
-    g, _ = hs.sample_graphon_graph(GraphonSpec(kind="constant", n=20, p=1.0, seed=0))
-    assert g.m == 20 * 19 // 2
+    for n in (2, 3, 4, 5, 20, 50):
+        g, _ = hs.sample_graphon_graph(GraphonSpec(kind="constant", n=n, p=1.0, seed=0))
+        assert g.m == n * (n - 1) // 2
+        assert np.all(g.degrees() == n - 1)
 
 
 def test_constant_zero_gives_edgeless_graph():
@@ -23,6 +33,82 @@ def test_constant_edge_count_within_binomial_band():
     pairs = n * (n - 1) / 2
     sd = np.sqrt(pairs * p * (1 - p))
     assert abs(g.m - p * pairs) <= 4 * sd
+
+
+def _block_pair_counts(g, block, k):
+    """Edges per unordered block pair (a <= c), and the pairs of nodes available."""
+    e = g.edge_array()
+    a, c = np.sort(block[e], axis=1).T
+    counts = np.zeros((k, k))
+    np.add.at(counts, (a, c), 1)
+    sizes = np.bincount(block, minlength=k).astype(float)
+    pairs = np.outer(sizes, sizes)
+    pairs[np.diag_indices(k)] = sizes * (sizes - 1) / 2
+    return counts, pairs
+
+
+@pytest.mark.parametrize("kind", ["blocks", "grid"])
+def test_block_pair_edge_counts_within_binomial_band(kind):
+    probs = np.array([[0.05, 0.01, 0.002], [0.01, 0.08, 0.02], [0.002, 0.02, 0.03]])
+    for seed in range(3):
+        if kind == "blocks":
+            spec = GraphonSpec(kind="blocks", n=1500, block_probs=probs,
+                               block_fracs=np.array([0.2, 0.5, 0.3]), seed=seed)
+        else:
+            spec = GraphonSpec(kind="grid", n=1500, grid=probs, seed=seed)
+        g, u = hs.sample_graphon_graph(spec)
+        block, _ = spec.block_structure(u)
+        counts, pairs = _block_pair_counts(g, block, 3)
+        for a in range(3):
+            for c in range(a, 3):
+                p = probs[a, c]
+                sd = np.sqrt(pairs[a, c] * p * (1 - p))
+                assert abs(counts[a, c] - p * pairs[a, c]) <= 5 * sd, (kind, seed, a, c)
+
+
+def test_skip_positions_keep_each_index_with_probability_p():
+    rng = np.random.default_rng(3)
+    reps = 4000
+    for total, p in ((1, 0.3), (3, 0.5), (40, 0.9), (200, 0.01)):
+        hits = np.zeros(total)
+        for _ in range(reps):
+            at = _skip_positions(rng, total, p)
+            assert np.all(np.diff(at) > 0) and np.all((at >= 0) & (at < total))
+            hits[at] += 1
+        sd = np.sqrt(p * (1 - p) / reps)
+        assert np.all(np.abs(hits / reps - p) <= 5 * sd), (total, p)
+    assert _skip_positions(rng, 10**12, 0.0).size == 0
+    assert _skip_positions(rng, 0, 0.5).size == 0
+    # a step of about 1e18 clipped at total + 1 never wraps into range
+    assert _skip_positions(rng, 10**15, 1e-18).size == 0
+
+
+def test_unrank_triangle_matches_enumeration():
+    for s in range(2, 60):
+        i, j = _unrank_triangle(np.arange(s * (s - 1) // 2))
+        expect = [(a, b) for b in range(s) for a in range(b)]
+        assert list(zip(i.tolist(), j.tolist())) == expect
+    # around triangular numbers T(j) = j(j-1)/2; from j of about 5e7 on, the
+    # float square root alone can land on the wrong row
+    for mid in (3_000_000, 100_000_000, 2_000_000_000):
+        for j in range(mid - 50, mid + 50):
+            tj = j * (j - 1) // 2
+            t = np.array([tj - 1, tj, tj + 1, tj + j - 1], dtype=np.int64)
+            i, jj = _unrank_triangle(t)
+            assert jj.tolist() == [j - 1, j, j, j]
+            assert i.tolist() == [j - 2, 0, 1, j - 1]
+
+
+def test_generation_memory_is_linear():
+    spec = parse_graphon_spec("blocks,n=20000,intra=0.0008,inter=0.0002,fracs=0.3:0.7,seed=1")
+    tracemalloc.start()
+    try:
+        g, _ = hs.sample_graphon_graph(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an O(n^2) pair draw costs about 1500 bytes per node + edge here
+    assert peak < 400 * (spec.n + g.m)
 
 
 def test_same_seed_reproduces_graph_and_features():
