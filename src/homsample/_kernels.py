@@ -15,6 +15,9 @@ import heapq
 import numpy as np
 
 
+_MMAP_THRESHOLD = 8 << 20
+
+
 def _set_allocator_policy() -> None:
     """Serve allocations below 8 MB from the heap and keep up to 16 MB of free top.
 
@@ -30,17 +33,23 @@ def _set_allocator_policy() -> None:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt.restype = ctypes.c_int
-        mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt(-1, 2 * _MMAP_THRESHOLD)  # M_TRIM_THRESHOLD
     except (OSError, AttributeError, TypeError):
         pass
 
 
 _set_allocator_policy()
 
-# Edge rows processed per block in edge_distance_sum; fixed so that results
-# do not depend on available memory.
+# Edge rows processed per block in edge_distance_sum: at most 1 << 15, and
+# few enough that a block of gathered float64 rows stays below the mmap
+# threshold (the byte cap binds from d = 32 on). Fixed by d alone, so
+# results do not depend on available memory.
 _CHUNK = 1 << 15
+
+
+def _chunk_rows(d: int) -> int:
+    return max(1, min(_CHUNK, (_MMAP_THRESHOLD - 1) // (8 * max(1, d))))
 
 
 def edge_distance_sum(indptr, indices, x) -> float:
@@ -50,9 +59,10 @@ def edge_distance_sum(indptr, indices, x) -> float:
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     once = src < indices  # count each undirected edge once
     es, ed = src[once], indices[once]
+    rows = _chunk_rows(x.shape[1])
     total = 0.0
-    for lo in range(0, es.shape[0], _CHUNK):
-        diff = x[es[lo : lo + _CHUNK]] - x[ed[lo : lo + _CHUNK]]
+    for lo in range(0, es.shape[0], rows):
+        diff = x[es[lo : lo + rows]] - x[ed[lo : lo + rows]]
         total += float(np.einsum("ij,ij->", diff, diff))
     return total
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, NumericalError, UsageError
 from .features import feature_homophily, node_scores, normalize_features, trace_lower_bound
 from .gnn import GnnConfig, evaluate, train
 from .graph import (
@@ -284,7 +284,7 @@ def run_experiment(
     def _run(cell: Cell):
         try:
             return run_cell(cell, g, x, labels, plan)
-        except (ValueError, DataError) as exc:
+        except (ValueError, DataError, NumericalError) as exc:
             return exc
 
     workers = _worker_count(plan)

@@ -6,6 +6,17 @@ edges, id map), and JSON metrics reports. Serialization is canonical: the
 same in-memory object always produces byte-identical files, with floats at
 17 significant digits. Readers reject malformed input with file/line
 positions; nothing is silently coerced.
+
+Each table reader first parses the whole file with one ``np.loadtxt`` call
+(``_bulk_parse``). Files it does not parse cleanly (``#`` comments, quoted
+cells, ``1_0``, ragged rows, empty files, anything that warns) go to the
+line-by-line reader, which alone gives their result or their
+``file:line[:col]`` error; on every file the bulk parse accepts, both
+readers give identical arrays (but a CSV cell longer than the ``csv``
+module's 131072-character field limit parses instead of raising
+``csv.Error``). Writers format blocks of rows with one ``%``
+operation each (``"%.17g" % v == format(v, ".17g")``); features with a
+non-finite value go to the row-by-row writer, which raises.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -29,6 +41,37 @@ def _fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# Values formatted by one ``%`` operation in ``_write_rows``: 256 rows of 16
+# features or 2048 edge rows. Larger blocks raise peak memory, not speed.
+_BLOCK_VALUES = 1 << 12
+
+
+def _write_rows(fh, row_fmt: str, a: np.ndarray) -> None:
+    """Write row i of ``a`` (1-d: one value per row) as ``row_fmt % tuple(a[i])``."""
+    width = a.shape[1] if a.ndim == 2 else 1
+    rows = max(1, _BLOCK_VALUES // max(1, width))
+    for lo in range(0, a.shape[0], rows):
+        block = a[lo : lo + rows]
+        fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _bulk_parse(path, skiprows: int = 0, **kw) -> np.ndarray | None:
+    """The whole file as a 2-d array from one ``np.loadtxt`` call, or None.
+
+    ``comments=None`` makes ``#`` a parse failure and every warning is an
+    error: an empty file warns, and numpy 1.24-1.26 accept ``"1.0"`` as an
+    int with only a DeprecationWarning. None (on any failure, or no rows)
+    tells the caller to run its line reader instead.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = np.loadtxt(path, comments=None, ndmin=2, skiprows=skiprows, **kw)
+    except Exception:  # the line reader gives the result or the positioned error
+        return None
+    return a if a.size else None
+
+
 # ---------------------------------------------------------------------------
 # edge lists
 
@@ -38,6 +81,28 @@ def read_edge_list(path) -> Graph:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
+    declared_n, pairs = _bulk_edges(path) or _read_edge_lines(path)
+    try:
+        return build_graph(pairs, n=declared_n)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _bulk_edges(path: Path) -> tuple[int | None, np.ndarray] | None:
+    """(declared n, pairs) of an ``n=`` line 1 and ``u v`` rows of non-negative ints."""
+    try:
+        with open(path) as fh:
+            head = fh.readline().strip()
+        declared_n = int(head[2:]) if head.startswith("n=") else None
+    except ValueError:  # a bad header, or a UnicodeDecodeError
+        return None
+    pairs = _bulk_parse(path, skiprows=int(declared_n is not None), dtype=np.int64)
+    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0:
+        return None
+    return declared_n, pairs
+
+
+def _read_edge_lines(path: Path) -> tuple[int | None, np.ndarray]:
     declared_n: int | None = None
     pairs: list[tuple[int, int]] = []
     with open(path) as fh:
@@ -61,10 +126,7 @@ def read_edge_list(path) -> Graph:
             if u < 0 or v < 0:
                 raise DataError(f"{path}:{lineno}: negative node id in {line!r}")
             pairs.append((u, v))
-    try:
-        return build_graph(np.array(pairs, dtype=np.int64).reshape(-1, 2), n=declared_n)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return declared_n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -72,8 +134,7 @@ def write_edge_list(g: Graph, path) -> None:
     path = Path(path)
     with open(path, "w") as fh:
         fh.write(f"n={g.n}\n")
-        for u, v in g.edge_array():
-            fh.write(f"{u} {v}\n")
+        _write_rows(fh, "%d %d\n", g.edge_array())
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +146,11 @@ def read_features_csv(path) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
+    x = _bulk_parse(path, dtype=np.float64, delimiter=",")
+    return x if x is not None else _read_features_lines(path)
+
+
+def _read_features_lines(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         for rowno, record in enumerate(csv.reader(fh), 1):
@@ -110,6 +176,14 @@ def read_features_csv(path) -> np.ndarray:
 
 def write_features_csv(x, path) -> None:
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or not np.isfinite(x).all():
+        _write_features_lines(x, path)  # raises on the first non-finite value
+        return
+    with open(Path(path), "w") as fh:
+        _write_rows(fh, ",".join(["%.17g"] * x.shape[1]) + "\n", x)
+
+
+def _write_features_lines(x: np.ndarray, path) -> None:
     with open(Path(path), "w") as fh:
         for row in x:
             fh.write(",".join(_fmt_float(v) for v in row) + "\n")
@@ -120,6 +194,13 @@ def read_labels_csv(path) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
+    y = _bulk_parse(path, dtype=np.int64, delimiter=",")
+    if y is not None and y.shape[1] == 1:
+        return y.ravel()
+    return _read_labels_lines(path)
+
+
+def _read_labels_lines(path: Path) -> np.ndarray:
     labels: list[int] = []
     with open(path, newline="") as fh:
         for rowno, record in enumerate(csv.reader(fh), 1):
@@ -141,8 +222,7 @@ def read_labels_csv(path) -> np.ndarray:
 def write_labels_csv(labels, path) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     with open(Path(path), "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+        _write_rows(fh, "%d\n", labels)
 
 
 def check_sizes(g: Graph, x=None, labels=None) -> None:
@@ -165,13 +245,12 @@ def write_sample(result: SampleResult, outdir) -> None:
     """Write kept ids (original), relabeled subgraph edges, id map, and data."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    kept = result.kept.indices
     with open(outdir / "kept.txt", "w") as fh:
-        for old in result.kept.indices:
-            fh.write(f"{int(old)}\n")
+        _write_rows(fh, "%d\n", kept)
     write_edge_list(result.subgraph, outdir / "edges.txt")
     with open(outdir / "id_map.txt", "w") as fh:
-        for new, old in enumerate(result.kept.indices):
-            fh.write(f"{new} {int(old)}\n")
+        _write_rows(fh, "%d %d\n", np.column_stack([np.arange(kept.size), kept]))
     if result.features is not None:
         write_features_csv(result.features, outdir / "features.csv")
     if result.labels is not None:
@@ -183,6 +262,13 @@ def read_kept(path) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
+    ids = _bulk_parse(path, dtype=np.int64)
+    if ids is not None and ids.shape[1] == 1:
+        return ids.ravel()
+    return _read_kept_lines(path)
+
+
+def _read_kept_lines(path: Path) -> np.ndarray:
     ids = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):

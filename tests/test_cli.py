@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -186,6 +187,27 @@ def test_train_eval_divergence_exits_3(tmp_path, capsys):
         ])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_experiment_diverging_cells_are_recorded_not_fatal(tmp_path):
+    out = tmp_path / "exp"
+    args = [
+        "experiment", "--synth", "blocks,n=60,intra=0.2,inter=0.02,fracs=0.3:0.7,d=4,tau=0.2,seed=3",
+        "--rates", "0.25,0.5", "--methods", "homophily,random", "--reps", "2",
+        "--lr", "1e200", "--weight-decay", "0", "--epochs", "10", "--hidden", "4",
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(args + ["--out", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["runs"] == "0"
+        assert "diverged" in row["errors"]
+    assert not list(out.glob("report__*.json"))  # a failed cell leaves no report
+    # the same sweep without training has nothing to diverge: every report is written
+    assert main(args + ["--metrics-only", "--out", str(tmp_path / "metrics")]) == 0
+    assert len(list((tmp_path / "metrics").glob("report__*.json"))) == 2 * (1 + 2)
 
 
 def test_experiment_grid_file_count(tmp_path, capsys):

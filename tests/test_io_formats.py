@@ -1,7 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 import homsample as hs
+from homsample import io_formats
 from homsample.errors import DataError
 from homsample.io_formats import (
     MetricsReport,
@@ -211,3 +215,218 @@ def test_report_invariant_and_errors(tmp_path):
     p.write_text('{"dataset": "x"}')
     with pytest.raises(DataError, match="missing report field"):
         read_report(p)
+
+
+# ---------------------------------------------------------------------------
+# bulk readers and writers against the line-by-line reference
+
+EDGE_CORPUS = [
+    "0 1\n1 2\n",
+    "0 1\n\n1 2\n",
+    "0 1\n   \n1 2\n",
+    "0 1\n\t \n1 2\n",
+    "0 1\n\x0c\n1 2\n",
+    "# head\n0 1\n",
+    "0 1\n# c\n1 2\n",
+    "0 1 # c\n",
+    "n=3\n0 1\nn=5\n1 2\n",
+    "0 1\nn=4\n",
+    "n=4\n0 1\n",
+    "  n=4  \n0 1\n",
+    "n=1_0\n0 1\n",
+    "n=x\n0 1\n",
+    "n=2\n0 5\n",
+    "n=5\n",
+    "1_0 2\n",
+    "\uff11 2\n",
+    '"1" 2\n',
+    "1.0 2\n",
+    "+1 2\n",
+    "-0 2\n",
+    "0 -1\n",
+    "0 1\r\n1 2\r\n",
+    "n=3\r\n0 1\r\n",
+    "0 1\r1 2\r",
+    "0 1,\n",
+    "0,1\n",
+    "0 1\n1\n",
+    "0 1\n1 2 3\n",
+    "",
+    "\n \n",
+    "99999999999999999999 1\n",
+    "0\xa01\n",
+    "0\u20031\n",
+    "\ufeff0 1\n",
+    "0 1\x00\n",
+]
+
+FEATURE_CORPUS = [
+    "1,2\n3,4\n",
+    "1,2\n\n3,4\n",
+    "1,2\n  \n3,4\n",
+    " \n1,2\n",
+    "# c\n1,2\n",
+    "1,2 # c\n",
+    "1_0,2\n",
+    "\uff11,2\n",
+    '"1",2\n',
+    "+1,-0\n",
+    " 1.5 , 2\t\n",
+    "1,2\r\n3,4\r\n",
+    "1,2\r3,4\r",
+    "1,2,\n",
+    ",\n",
+    "1,2\n3\n",
+    "",
+    "1\n2\n",
+    "nan,inf\n",
+    "-nan,-inf\n",
+    "Infinity,1e400\n",
+    "1e-400,5e-324,2.4703282292062328e-324\n",
+    "0.1,1e16,1e-7,9007199254740993\n",
+    "0x1p3,1\n",
+    "1d5,1\n",
+    "1,2\x00\n",
+    "\ufeff1,2\n",
+]
+
+LABEL_CORPUS = [
+    "1\n2\n",
+    " 3 \n",
+    "1,2\n",
+    "2.5\n",
+    "1.0\n",
+    "1\n\n2\n",
+    "1\n \n2\n",
+    "+3\n-0\n-2\n",
+    "1_0\n",
+    '"1"\n',
+    "1,\n",
+    "1\r\n2\r\n",
+    "",
+    "# c\n1\n",
+    "99999999999999999999\n",
+    "\uff11\n",
+]
+
+KEPT_CORPUS = [
+    "1\n2\n",
+    "1\n\n  \n2\n",
+    " 3 \n",
+    "1 2\n",
+    "+1\n-0\n",
+    "1.0\n",
+    "1_0\n",
+    "",
+    "# c\n",
+    "\r\n1\r\n",
+    "99999999999999999999\n",
+]
+
+
+def _outcome(read, path):
+    try:
+        out = read(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(out, hs.Graph):
+        return "graph", out.n, out.indptr.tobytes(), out.indices.tobytes()
+    return "array", out.dtype.str, out.shape, out.tobytes()
+
+
+def _assert_matches_line_reader(read, path, monkeypatch):
+    got = _outcome(read, path)
+    with monkeypatch.context() as m:
+        m.setattr(io_formats, "_bulk_parse", lambda *a, **k: None)
+        want = _outcome(read, path)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [(read_edge_list, t) for t in EDGE_CORPUS]
+    + [(read_features_csv, t) for t in FEATURE_CORPUS]
+    + [(read_labels_csv, t) for t in LABEL_CORPUS]
+    + [(read_kept, t) for t in KEPT_CORPUS],
+)
+def test_bulk_reader_equals_line_reader(read, text, tmp_path, monkeypatch):
+    p = tmp_path / "in.txt"
+    p.write_bytes(text.encode("utf-8"))
+    _assert_matches_line_reader(read, p, monkeypatch)
+
+
+def test_loadtxt_warning_falls_back_to_line_reader(tmp_path, monkeypatch):
+    # numpy 1.24-1.26 parse "1.0" as the int 1 and only warn
+    def lenient_loadtxt(path, **kw):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([[1, 2]], dtype=np.int64)
+
+    p = tmp_path / "g.txt"
+    p.write_text("1.0 2\n")
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(DataError, match=r"g.txt:1: non-integer node id"):
+        read_edge_list(p)
+
+
+def test_canonical_files_take_the_bulk_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 300, 0.3)
+    x = rng.standard_normal((g.n, 5))
+    y = rng.integers(0, 4, size=g.n)
+    res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5), labels=y)
+    write_sample(res, tmp_path / "s")
+    write_edge_list(g, tmp_path / "g.txt")
+
+    def no_line_reader(path):
+        raise AssertionError(f"line reader ran on {path}")
+
+    for name in ("_read_edge_lines", "_read_features_lines", "_read_labels_lines", "_read_kept_lines"):
+        monkeypatch.setattr(io_formats, name, no_line_reader)
+    back = read_edge_list(tmp_path / "g.txt")
+    assert np.array_equal(back.indices, g.indices) and back.n == g.n
+    assert np.array_equal(read_kept(tmp_path / "s" / "kept.txt"), res.kept.indices)
+    assert np.array_equal(read_features_csv(tmp_path / "s" / "features.csv"), res.features)
+    assert np.array_equal(read_labels_csv(tmp_path / "s" / "labels.csv"), res.labels)
+
+
+def _int_rows(rows) -> str:
+    return "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
+
+
+def test_block_writers_match_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3000, 7)) * 10.0 ** rng.integers(-300, 300, size=(3000, 7))
+    x[:5, 0] = [-0.0, 5e-324, 1e16, 0.1, 1e-7]
+    write_features_csv(x, tmp_path / "x.csv")
+    want = "".join(",".join(io_formats._fmt_float(v) for v in row) + "\n" for row in x)
+    assert (tmp_path / "x.csv").read_text() == want
+    write_features_csv(np.empty((3, 0)), tmp_path / "x0.csv")
+    assert (tmp_path / "x0.csv").read_text() == "\n" * 3
+    wide = rng.standard_normal((3, 5000))  # one row is more than a write block
+    write_features_csv(wide, tmp_path / "wide.csv")
+    assert np.array_equal(read_features_csv(tmp_path / "wide.csv"), wide)
+
+    g = random_graph(rng, 300, 0.3)  # more edges than one write block
+    write_edge_list(g, tmp_path / "g.txt")
+    want = f"n={g.n}\n" + _int_rows(g.edge_array().tolist())
+    assert (tmp_path / "g.txt").read_text() == want
+
+    y = rng.integers(0, 5, size=g.n)
+    res = hs.sample_random(g, SampleSpec(gamma=0.6, method="random", seed=1), labels=y)
+    write_sample(res, tmp_path / "s")
+    kept = res.kept.indices.tolist()
+    assert (tmp_path / "s" / "kept.txt").read_text() == _int_rows([[k] for k in kept])
+    id_map = _int_rows(enumerate(kept))
+    assert (tmp_path / "s" / "id_map.txt").read_text() == id_map
+    assert (tmp_path / "s" / "labels.csv").read_text() == _int_rows([[v] for v in y[kept]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_features_raise_the_same_message(bad, tmp_path):
+    x = np.ones((2000, 3))
+    x[1500, 1] = bad
+    message = f"cannot serialize non-finite value {np.float64(bad)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_features_csv(x, tmp_path / "x.csv")
+    # the rows before the bad one are written, as they were row by row
+    assert (tmp_path / "x.csv").read_text() == "1,1,1\n" * 1500

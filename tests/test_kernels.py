@@ -51,6 +51,16 @@ def test_edge_distance_sum_matches_dense_trace():
         assert got == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
+def test_edge_distance_sum_wide_features_span_several_chunks():
+    rng = np.random.default_rng(5)
+    g = random_graph(rng, 300, 0.5)  # ~22k undirected edges
+    x = rng.standard_normal((g.n, 64))
+    assert g.m > _kernels._chunk_rows(64)
+    dense = float(np.trace(x.T @ dense_laplacian(g) @ x))
+    got = _kernels.edge_distance_sum(g.indptr, g.indices, x)
+    assert got == pytest.approx(dense, rel=1e-9)
+
+
 def test_component_labels_match_bfs_on_random_graphs():
     rng = np.random.default_rng(2)
     for _ in range(30):
