@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
     Cell,
@@ -27,7 +25,7 @@ from .experiments import (
 )
 from .features import feature_homophily, normalize_features, trace_lower_bound
 from .gnn import SHIFT_CHOICES, GnnConfig
-from .graph import laplacian_trace, node_index_set
+from .graph import laplacian_trace
 from .graphon import generate_dataset, parse_graphon_spec
 from .io_formats import (
     MetricsReport,
@@ -42,7 +40,7 @@ from .io_formats import (
     write_report,
     write_sample,
 )
-from .sampling import METHODS, SampleResult, SampleSpec, sample
+from .sampling import METHODS, SampleSpec, sample
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,9 +74,12 @@ def _rate_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"need one or more integers >= 1, got {text!r}")
+    return values
 
 
 def _add_data_args(p, labels_required=False, features_required=True):
@@ -161,11 +162,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    g, x, y = _load_dataset(args)
-    full = SampleResult(
-        kept=node_index_set(np.arange(g.n), g.n), subgraph=g, features=x, labels=y
-    )
-    metrics = subgraph_metrics(full)
+    g, x, _ = _load_dataset(args)
+    metrics = subgraph_metrics(g, x)
     report = MetricsReport(
         dataset=Path(args.graph).stem, method="full", gamma=1.0, seed=0, **metrics
     )

@@ -31,7 +31,7 @@ from .graph import (
 )
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleResult, SampleSpec, canonical_method, sample
+from .sampling import SampleSpec, canonical_method, sample
 
 THREADS_ENV_VAR = "HOMSAMPLE_THREADS"
 
@@ -57,7 +57,12 @@ class ExperimentPlan:
                 raise ValueError(f"rates must lie in (0, 1], got {r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        object.__setattr__(self, "methods", tuple(canonical_method(m) for m in self.methods))
+        methods = tuple(canonical_method(m) for m in self.methods)
+        if len(set(methods)) < len(methods):
+            raise ValueError(
+                f"duplicate sampling method in {','.join(self.methods)!r} ({','.join(methods)})"
+            )
+        object.__setattr__(self, "methods", methods)
 
 
 @dataclass(frozen=True)
@@ -96,13 +101,12 @@ def expand_cells(plan: ExperimentPlan) -> list[Cell]:
     return cells
 
 
-def subgraph_metrics(result: SampleResult) -> dict:
-    """Connectivity and homophily metrics of a sampled subgraph.
+def subgraph_metrics(sub: Graph, x: np.ndarray | None) -> dict:
+    """Connectivity and homophily metrics of a (sub)graph and its features.
 
     Features are re-standardized on the subsample before computing
     homophily and the trace bound.
     """
-    sub = result.subgraph
     tr = laplacian_trace(sub)
     count, _ = connected_components(sub)
     out = {
@@ -111,8 +115,8 @@ def subgraph_metrics(result: SampleResult) -> dict:
         "components": count,
         "laplacian_rank": sub.n - count,
     }
-    if result.features is not None:
-        xh = normalize_features(result.features)
+    if x is not None:
+        xh = normalize_features(x)
         h = feature_homophily(sub, xh)
         bound = trace_lower_bound(h, xh)
         out.update(
@@ -146,7 +150,7 @@ def run_cell(
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    metrics = subgraph_metrics(result)
+    metrics = subgraph_metrics(result.subgraph, result.features)
     timings["metrics"] = time.perf_counter() - t0
 
     accuracy = None

@@ -2,9 +2,11 @@
 
 Each layer applies a polynomial filterbank in the graph shift operator,
 sum_k S^k X H_k, followed by an entry-wise activation (last layer emits raw
-logits). Gradients are computed by hand; the optimizer is Adam with
-decoupled weight decay. Everything is float64 numpy and deterministic for a
-fixed seed.
+logits). One tap sum over iterated shifts computes every filterbank:
+``conv_filterbank`` (S a sparse or dense matrix), each forward layer, and
+the backward sum_k S^k G H_k^T. Gradients are computed by hand; the
+optimizer is Adam with decoupled weight decay. Everything is float64 numpy
+and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -99,16 +101,8 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
-def _as_operator(shift):
-    """Accept a Graph (gcn_norm), a ShiftOperator, or a sparse or dense matrix."""
-    if isinstance(shift, Graph):
-        return shift_matrix(shift)
-    return getattr(shift, "matrix", shift)  # spectral.ShiftOperator
-
-
-def conv_filterbank(shift, x, taps) -> np.ndarray:
-    """Filterbank output sum_k S^k X H_k via iterated shifts (never powers S^k)."""
-    s = _as_operator(shift)
+def conv_filterbank(s, x, taps) -> np.ndarray:
+    """sum_k S^k X H_k for a sparse or dense matrix S, by iterated shifts (never S^k)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != s.shape[0]:
         raise ValueError(f"signal shape {x.shape} does not match operator {s.shape}")
@@ -116,12 +110,7 @@ def conv_filterbank(shift, x, taps) -> np.ndarray:
     for h in taps:
         if h.shape[0] != d:
             raise ValueError(f"tap shape {h.shape} does not match signal width {d}")
-    z = x
-    y = z @ taps[0]
-    for h in taps[1:]:
-        z = s @ z
-        y += z @ h
-    return y
+    return _tap_sum(_shift_powers(s, x, len(taps)), taps)
 
 
 def _activate(a: np.ndarray, kind: str) -> np.ndarray:
@@ -138,6 +127,14 @@ def _shift_powers(s, z, count: int) -> list[np.ndarray]:
     return powers
 
 
+def _tap_sum(powers, taps) -> np.ndarray:
+    """sum_k powers[k] @ taps[k], accumulated in place in tap order."""
+    y = powers[0] @ taps[0]
+    for k in range(1, len(taps)):
+        y += powers[k] @ taps[k]
+    return y
+
+
 def _forward_cached(weights, s, x_powers, activation):
     """Forward pass keeping the per-layer shifted inputs for backprop.
 
@@ -151,9 +148,7 @@ def _forward_cached(weights, s, x_powers, activation):
     for l, taps in enumerate(weights):
         if l > 0:
             powers = _shift_powers(s, z, len(taps))
-        a = powers[0] @ taps[0]
-        for k in range(1, len(taps)):
-            a += powers[k] @ taps[k]
+        a = _tap_sum(powers, taps)
         caches.append((powers, a))
         z = _activate(a, activation) if l < n_layers - 1 else a
     return z, caches
@@ -180,22 +175,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def masked_cross_entropy(logits, labels, mask) -> float:
-    """Mean cross-entropy over the masked nodes."""
-    p = _softmax(logits[mask])
-    y = labels[mask]
-    return float(-np.mean(np.log(p[np.arange(y.size), y] + 1e-300)))
-
-
-def loss_and_grads(weights, s, x, labels, mask, activation, x_powers=None):
+def loss_and_grads(weights, s, x_powers, labels, mask, activation):
     """Masked cross-entropy loss and its gradients w.r.t. every tap matrix.
 
-    ``x_powers``, when given, must equal ``[x, S x, ..., S^(K-1) x]`` for the
-    first layer's K taps; a caller making many calls with the same ``x``
-    computes them once.
+    ``x_powers`` is ``[x, S x, ..., S^(K-1) x]`` (``_shift_powers``) for the
+    first layer's K taps; training computes it once for all epochs.
     """
-    if x_powers is None:
-        x_powers = _shift_powers(s, x, len(weights[0]))
     logits, caches = _forward_cached(weights, s, x_powers, activation)
     idx = np.flatnonzero(mask)
     p = _softmax(logits)
@@ -206,7 +191,7 @@ def loss_and_grads(weights, s, x, labels, mask, activation, x_powers=None):
     grad_out[idx, labels[idx]] -= 1.0
     grad_out /= idx.size
 
-    grads = [[None] * len(taps) for taps in weights]
+    grads = [None] * len(weights)
     g_up = grad_out  # gradient w.r.t. the current layer's pre-activation
     for l in range(len(weights) - 1, -1, -1):
         powers, pre_act = caches[l]
@@ -216,16 +201,11 @@ def loss_and_grads(weights, s, x, labels, mask, activation, x_powers=None):
             else:
                 sig = _activate(pre_act, "sigmoid")
                 g_up = g_up * sig * (1.0 - sig)
-        for k, _h in enumerate(weights[l]):
-            grads[l][k] = powers[k].T @ g_up
+        grads[l] = [z.T @ g_up for z in powers]
         if l > 0:
             # d loss / d layer-input = sum_k S^k g_up H_k^T (S symmetric)
-            r = g_up
-            g_down = r @ weights[l][0].T
-            for k in range(1, len(weights[l])):
-                r = s @ r
-                g_down += r @ weights[l][k].T
-            g_up = g_down
+            taps = weights[l]
+            g_up = _tap_sum(_shift_powers(s, g_up, len(taps)), [h.T for h in taps])
     return loss, grads
 
 
@@ -264,16 +244,15 @@ def train(g: Graph, x, labels, train_mask, cfg: GnnConfig, n_classes: int | None
         raise ValueError(f"label {labels[mask].max()} out of range for {n_classes} classes")
 
     normalizer = normalize_features(x)
-    xh = normalizer.values
     s = shift_matrix(g, cfg.shift)
     weights = init_weights(cfg, x.shape[1], n_classes)
-    xh_powers = _shift_powers(s, xh, cfg.taps)  # the features never change
+    xh_powers = _shift_powers(s, normalizer.values, cfg.taps)  # the features never change
 
     m_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     v_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(weights, s, xh, labels, mask, cfg.activation, xh_powers)
+        loss, grads = loss_and_grads(weights, s, xh_powers, labels, mask, cfg.activation)
         if not np.isfinite(loss):
             raise NumericalError(f"diverged: non-finite loss at epoch {epoch}")
         history[epoch] = loss

@@ -15,8 +15,8 @@ line-by-line reader, which alone gives their result or their
 readers give identical arrays (but a CSV cell longer than the ``csv``
 module's 131072-character field limit parses instead of raising
 ``csv.Error``). Writers format blocks of rows with one ``%``
-operation each (``"%.17g" % v == format(v, ".17g")``); features with a
-non-finite value go to the row-by-row writer, which raises.
+operation each (``"%.17g" % v == format(v, ".17g")``); the feature writer
+stops at the first row with a non-finite value and raises.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,21 @@ def _bulk_parse(path, skiprows: int = 0, **kw) -> np.ndarray | None:
     return a if a.size else None
 
 
+def _one_column(path, **kw) -> np.ndarray | None:
+    """``_bulk_parse`` of a 1-column file as a 1-d array, or None."""
+    a = _bulk_parse(path, **kw)
+    return a.ravel() if a is not None and a.shape[1] == 1 else None
+
+
+def _read(path, bulk, lines):
+    """``bulk(path)``, or ``lines(path)`` where the bulk parse gives None."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path}: no such file")
+    out = bulk(path)
+    return out if out is not None else lines(path)
+
+
 # ---------------------------------------------------------------------------
 # edge lists
 
@@ -79,9 +95,7 @@ def _bulk_parse(path, skiprows: int = 0, **kw) -> np.ndarray | None:
 def read_edge_list(path) -> Graph:
     """Parse a whitespace ``u v`` edge list into a Graph."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    declared_n, pairs = _bulk_edges(path) or _read_edge_lines(path)
+    declared_n, pairs = _read(path, _bulk_edges, _read_edge_lines)
     try:
         return build_graph(pairs, n=declared_n)
     except DataError as exc:
@@ -143,11 +157,7 @@ def write_edge_list(g: Graph, path) -> None:
 
 def read_features_csv(path) -> np.ndarray:
     """CSV of real-valued features, row i = node i."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    x = _bulk_parse(path, dtype=np.float64, delimiter=",")
-    return x if x is not None else _read_features_lines(path)
+    return _read(path, partial(_bulk_parse, dtype=np.float64, delimiter=","), _read_features_lines)
 
 
 def _read_features_lines(path: Path) -> np.ndarray:
@@ -175,29 +185,19 @@ def _read_features_lines(path: Path) -> np.ndarray:
 
 
 def write_features_csv(x, path) -> None:
+    """One CSV row per node; raises after writing the rows before a non-finite one."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or not np.isfinite(x).all():
-        _write_features_lines(x, path)  # raises on the first non-finite value
-        return
+    finite = np.isfinite(x).all(axis=1)
+    rows = x.shape[0] if finite.all() else int(finite.argmin())
     with open(Path(path), "w") as fh:
-        _write_rows(fh, ",".join(["%.17g"] * x.shape[1]) + "\n", x)
-
-
-def _write_features_lines(x: np.ndarray, path) -> None:
-    with open(Path(path), "w") as fh:
-        for row in x:
-            fh.write(",".join(_fmt_float(v) for v in row) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * x.shape[1]) + "\n", x[:rows])
+    for v in x[rows : rows + 1].flat:  # raises on the first non-finite value
+        _fmt_float(v)
 
 
 def read_labels_csv(path) -> np.ndarray:
     """CSV with a single integer label column."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    y = _bulk_parse(path, dtype=np.int64, delimiter=",")
-    if y is not None and y.shape[1] == 1:
-        return y.ravel()
-    return _read_labels_lines(path)
+    return _read(path, partial(_one_column, dtype=np.int64, delimiter=","), _read_labels_lines)
 
 
 def _read_labels_lines(path: Path) -> np.ndarray:
@@ -227,14 +227,9 @@ def write_labels_csv(labels, path) -> None:
 
 def check_sizes(g: Graph, x=None, labels=None) -> None:
     """Cross-check row counts against the graph at assembly time."""
-    if x is not None and np.asarray(x).shape[0] != g.n:
-        raise DataError(
-            f"feature rows ({np.asarray(x).shape[0]}) do not match graph nodes ({g.n})"
-        )
-    if labels is not None and np.asarray(labels).shape[0] != g.n:
-        raise DataError(
-            f"label rows ({np.asarray(labels).shape[0]}) do not match graph nodes ({g.n})"
-        )
+    for name, a in (("feature", x), ("label", labels)):
+        if a is not None and (rows := np.asarray(a).shape[0]) != g.n:
+            raise DataError(f"{name} rows ({rows}) do not match graph nodes ({g.n})")
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +254,7 @@ def write_sample(result: SampleResult, outdir) -> None:
 
 def read_kept(path) -> np.ndarray:
     """One original node id per line."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    ids = _bulk_parse(path, dtype=np.int64)
-    if ids is not None and ids.shape[1] == 1:
-        return ids.ravel()
-    return _read_kept_lines(path)
+    return _read(path, partial(_one_column, dtype=np.int64), _read_kept_lines)
 
 
 def _read_kept_lines(path: Path) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import homsample as hs
 from homsample.cli import main
 from homsample.experiments import loglog_slope, run_bench, run_bench_dims
-from homsample.gnn import GnnConfig, GnnModel, init_weights, loss_and_grads, shift_matrix
+from homsample.gnn import GnnConfig, GnnModel, _shift_powers, init_weights, loss_and_grads, shift_matrix
 from homsample.graphon import GraphonSpec, two_block_spec
 from homsample.sampling import SampleSpec, deletion_budget
 from homsample.spectral import ShiftOperator
@@ -175,7 +175,8 @@ def test_gradient_correctness():
     cfg = GnnConfig(layers=2, taps=2, hidden=8, seed=0)
     w = init_weights(cfg, 5, 3)
     s = shift_matrix(g, cfg.shift)
-    _, grads = loss_and_grads(w, s, x, labels, mask, cfg.activation)
+    xp = _shift_powers(s, x, cfg.taps)
+    _, grads = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
     step = 1e-5
     worst = 0.0
     entries = 0
@@ -184,9 +185,9 @@ def test_gradient_correctness():
             for idx in np.ndindex(w[l][k].shape):
                 orig = w[l][k][idx]
                 w[l][k][idx] = orig + step
-                lp, _ = loss_and_grads(w, s, x, labels, mask, cfg.activation)
+                lp, _ = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
                 w[l][k][idx] = orig - step
-                lm, _ = loss_and_grads(w, s, x, labels, mask, cfg.activation)
+                lm, _ = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
                 w[l][k][idx] = orig
                 fd = (lp - lm) / (2 * step)
                 an = grads[l][k][idx]

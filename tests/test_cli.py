@@ -163,7 +163,8 @@ def test_train_eval_raw_scores_report(tmp_path, capsys):
 
     def metrics(raw):
         spec = hs.SampleSpec(gamma=0.4, seed=7, use_raw_scores=raw)
-        return subgraph_metrics(hs.sample(g, spec, x=x, labels=ds.labels))
+        res = hs.sample(g, spec, x=x, labels=ds.labels)
+        return subgraph_metrics(res.subgraph, res.features)
 
     raw, standardized = metrics(True), metrics(False)
     assert raw != standardized  # the two score choices keep different nodes here
@@ -275,6 +276,18 @@ def test_bench_dims_sweep(tmp_path):
     col = lines[0].split(",").index("d")
     dims = [int(l.split(",")[col]) for l in lines[2:]]
     assert dims == [4, 8]
+
+
+@pytest.mark.parametrize("args", [
+    ["--sizes", "", "--dims", "4"],
+    ["--sizes", ",", "--dims", "4"],
+    ["--sizes", "0,-5"],
+    ["--sizes", "400", "--dims", "0"],
+])
+def test_bench_bad_integer_lists_are_usage_errors(args, capsys):
+    rc = main(["bench", "--d", "4", "--repeats", "1", *args])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_experiment_rerun_identical_bytes(tmp_path):
