@@ -36,6 +36,6 @@ from .sampling import (
     sample_homophily,
     sample_random,
 )
-from .spectral import ShiftOperator, conv_span_dimension, leverage_identity_check, shift_rank
+from .spectral import conv_span_dimension, leverage_identity_check, numerical_rank
 
 __version__ = "0.1.0"

@@ -1,7 +1,10 @@
-"""Hot kernels over symmetric CSR graphs, one numpy/stdlib implementation each.
+"""Hot kernels over undirected graphs, one numpy/stdlib implementation each.
 
-All three are deterministic: the same CSR arrays give the same result on
-every run and machine.
+``edge_distance_sum`` and ``component_labels`` take the edge view
+``Graph.edges()`` (each undirected edge once, as ``(u, v)`` arrays);
+``greedy_min_degree_order`` takes the symmetric CSR arrays, because it walks
+neighbour lists. All three are deterministic: the same arrays give the same
+result on every run and machine.
 
 Importing this module also fixes glibc's allocator policy for the process
 (see ``_set_allocator_policy``).
@@ -52,17 +55,13 @@ def _chunk_rows(d: int) -> int:
     return max(1, min(_CHUNK, (_MMAP_THRESHOLD - 1) // (8 * max(1, d))))
 
 
-def edge_distance_sum(indptr, indices, x) -> float:
-    """Sum of squared row distances of ``x`` over the undirected CSR edges."""
+def edge_distance_sum(u, v, x) -> float:
+    """Sum of squared row distances of ``x`` over the undirected edges ``(u, v)``."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n = indptr.shape[0] - 1
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    once = src < indices  # count each undirected edge once
-    es, ed = src[once], indices[once]
     rows = _chunk_rows(x.shape[1])
     total = 0.0
-    for lo in range(0, es.shape[0], rows):
-        diff = x[es[lo : lo + rows]] - x[ed[lo : lo + rows]]
+    for lo in range(0, u.shape[0], rows):
+        diff = x[u[lo : lo + rows]] - x[v[lo : lo + rows]]
         total += float(np.einsum("ij,ij->", diff, diff))
     return total
 
@@ -76,21 +75,21 @@ def _jump(parent: np.ndarray) -> np.ndarray:
         parent = nxt
 
 
-def component_labels(indptr, indices):
-    """Connected components of a symmetric CSR graph: (count, labels).
+def component_labels(n: int, u, v):
+    """Connected components of ``n`` nodes and undirected edges ``(u, v)``: (count, labels).
 
     Hook-and-jump (Shiloach-Vishkin): each round hooks every root onto the
-    smallest root across its edges, then pointer-jumps to stars, until no
-    root changes. Roots only decrease, so each ends as its component's
-    smallest node; labels number components in that order, which is the
-    first-seen-root order of a BFS scanning nodes 0..n-1.
+    smallest root across its edges, in both directions, then pointer-jumps
+    to stars, until no root changes. Roots only decrease, so each ends as
+    its component's smallest node; labels number components in that order,
+    which is the first-seen-root order of a BFS scanning nodes 0..n-1.
     """
-    n = indptr.shape[0] - 1
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     root = np.arange(n, dtype=np.int64)
     while True:
         hooked = root.copy()
-        np.minimum.at(hooked, root[src], root[indices])
+        ru, rv = root[u], root[v]
+        np.minimum.at(hooked, ru, rv)
+        np.minimum.at(hooked, rv, ru)
         hooked = _jump(hooked)
         if np.array_equal(hooked, root):
             break

@@ -150,8 +150,7 @@ def cmd_homophily(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    need_x = args.method != "random"
-    g, x, y = _load_dataset(args, need_features=need_x)
+    g, x, y = _load_dataset(args, need_features=args.method == "homophily")
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )

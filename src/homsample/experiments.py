@@ -31,7 +31,7 @@ from .graph import (
 )
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleSpec, canonical_method, sample
+from .sampling import SampleSpec, canonical_method, lowest_score_nodes, sample
 
 THREADS_ENV_VAR = "HOMSAMPLE_THREADS"
 
@@ -373,10 +373,7 @@ def run_bench(
             t1 = time.perf_counter()
             feature_homophily(g, xh)
             t2 = time.perf_counter()
-            n_d = int(np.floor((1.0 - gamma) * g.n))
-            order = np.argsort(scores, kind="stable")
-            kept = np.sort(order[: g.n - n_d])
-            induced_subgraph(g, kept)
+            induced_subgraph(g, lowest_score_nodes(scores, gamma))
             t3 = time.perf_counter()
             best["scores"] = min(best["scores"], t1 - t0)
             best["homophily"] = min(best["homophily"], t2 - t1)

@@ -89,7 +89,7 @@ def feature_homophily(g: Graph, xh) -> float:
     values = xh.values if isinstance(xh, NormalizedFeatures) else np.asarray(xh, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != g.n:
         raise ValueError(f"features have {values.shape[0]} rows, graph has {g.n} nodes")
-    total = _kernels.edge_distance_sum(g.indptr, g.indices, values)
+    total = _kernels.edge_distance_sum(*g.edges(), values)
     h = -total / g.n if total > 0.0 else 0.0  # avoid -0.0
     assert h <= 0.0
     return h

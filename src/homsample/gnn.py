@@ -86,9 +86,7 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
     the plain alternatives.
     """
     n = g.n
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
-    ones = np.ones(src.shape[0])
-    a = sp.csr_array((ones, (src, g.indices)), shape=(n, n))
+    a = sp.csr_array((np.ones(g.indices.shape[0]), g.indices, g.indptr), shape=(n, n))
     if kind == "adjacency":
         return a
     deg = np.asarray(a.sum(axis=1)).reshape(-1)

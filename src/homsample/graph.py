@@ -27,11 +27,15 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def edge_array(self) -> np.ndarray:
-        """Undirected edges as an (m, 2) array with u < v, lexicographically sorted."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected edges as ``(u, v)`` arrays with u < v, lexicographically sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         once = src < self.indices
-        return np.column_stack([src[once], self.indices[once]])
+        return src[once], self.indices[once]
+
+    def edge_array(self) -> np.ndarray:
+        """The edges of ``edges()`` as one (m, 2) array."""
+        return np.column_stack(self.edges())
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -39,8 +43,9 @@ class Graph:
     def adjacency_dense(self) -> np.ndarray:
         """Dense adjacency matrix; intended for tests and small graphs."""
         a = np.zeros((self.n, self.n))
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        a[src, self.indices] = 1.0
+        u, v = self.edges()
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
 
@@ -155,7 +160,7 @@ def adjusted_trace(g: Graph) -> float:
 
 def connected_components(g: Graph) -> tuple[int, np.ndarray]:
     """Component count and a per-node component label array."""
-    return _kernels.component_labels(g.indptr, g.indices)
+    return _kernels.component_labels(g.n, *g.edges())
 
 
 def laplacian_rank(g: Graph) -> int:
@@ -175,9 +180,11 @@ def induced_subgraph(g: Graph, keep) -> Graph:
         raise ValueError(f"keep set is over {ks.n_original} nodes, graph has {g.n}")
     kmask = ks.mask()
     new_id = np.cumsum(kmask, dtype=np.int64) - 1
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    emask = kmask[src] & kmask[g.indices]
-    # relabeling is monotone, so CSR row/column order is preserved
+    emask = np.repeat(kmask, g.degrees())  # row kept ...
+    emask &= kmask[g.indices]  # ... and column kept
+    # relabeling is monotone, so CSR row/column order is preserved; the
+    # subgraph is symmetric, so a row's entry count is its column count
+    dst = new_id[g.indices[emask]]
     nk = len(ks)
-    indptr, indices = _csr_from_directed(new_id[src[emask]], new_id[g.indices[emask]], nk)
+    indptr, indices = _csr_from_directed(dst, dst, nk)
     return _freeze(Graph(n=nk, m=indices.size // 2, indptr=indptr, indices=indices))

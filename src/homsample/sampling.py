@@ -70,6 +70,15 @@ def _keep_count(n: int, gamma: float) -> int:
     return keep
 
 
+def lowest_score_nodes(scores: np.ndarray, gamma: float) -> np.ndarray:
+    """Sorted ids of the nodes left after deleting the floor((1-gamma)n) largest scores.
+
+    Ties keep the smaller node index.
+    """
+    order = np.argsort(scores, kind="stable")  # ascending; ties by node index
+    return np.sort(order[: _keep_count(scores.shape[0], gamma)])
+
+
 def sample_homophily(g: Graph, x, spec: SampleSpec, labels=None) -> SampleResult:
     """Drop the floor((1-gamma)n) nodes with the largest feature scores.
 
@@ -81,11 +90,8 @@ def sample_homophily(g: Graph, x, spec: SampleSpec, labels=None) -> SampleResult
     x = as_feature_matrix(x)
     if x.shape[0] != g.n:
         raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
-    keep_n = _keep_count(g.n, spec.gamma)
     scores = node_scores(x if spec.use_raw_scores else normalize_features(x))
-    order = np.argsort(scores, kind="stable")  # ascending; ties by node index
-    kept_ids = np.sort(order[:keep_n])
-    return _restrict(g, kept_ids, x, labels)
+    return _restrict(g, lowest_score_nodes(scores, spec.gamma), x, labels)
 
 
 def sample_random(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:

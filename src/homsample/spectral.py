@@ -1,53 +1,13 @@
 """Numerical verification surface: convolution span rank and leverage identity.
 
-Everything here is dense and capped at n <= 2000; these routines back the
-test suite and diagnostics, not the production sampling path.
+Dense SVD checks over plain matrices; they back the test suite and
+diagnostics, not the production sampling path. A shift operator is passed as
+a matrix, e.g. ``shift_matrix(g, "laplacian")`` or its ``.toarray()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .gnn import shift_matrix
-from .graph import Graph
-
-DENSE_CAP = 2000
-SHIFT_KINDS = ("adjacency", "laplacian", "gcn_norm", "custom")
-
-
-@dataclass(frozen=True)
-class ShiftOperator:
-    """Dense symmetric shift matrix sharing the graph sparsity pattern."""
-
-    matrix: np.ndarray
-    kind: str = "custom"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"shift operator must be square, got {m.shape}")
-        if m.shape[0] > DENSE_CAP:
-            raise ValueError(f"dense shift operators are capped at n={DENSE_CAP}")
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-            raise ValueError("shift operator must be symmetric (1e-12)")
-        if self.kind not in SHIFT_KINDS:
-            raise ValueError(f"unknown shift kind {self.kind!r}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def shift_from_graph(g: Graph, kind: str = "adjacency") -> ShiftOperator:
-    """Dense adjacency or Laplacian shift operator of a graph."""
-    if g.n > DENSE_CAP:
-        raise ValueError(f"graph too large for dense shift operator (n={g.n})")
-    if kind not in ("adjacency", "laplacian"):
-        raise ValueError(f"unsupported graph-derived shift kind {kind!r}")
-    return ShiftOperator(shift_matrix(g, kind).toarray(), kind=kind)
 
 
 def numerical_rank(a: np.ndarray) -> int:
@@ -59,30 +19,27 @@ def numerical_rank(a: np.ndarray) -> int:
     return int(np.sum(s > tol))
 
 
-def shift_rank(s: ShiftOperator) -> int:
-    return numerical_rank(s.matrix)
-
-
-def conv_span_dimension(s: ShiftOperator, x, k_max: int) -> int:
+def conv_span_dimension(s, x, k_max: int) -> int:
     """Dimension of span{x, Sx, ..., S^(k_max-1) x} via SVD rank.
 
+    ``s`` is any square matrix with ``s @ v`` and ``.shape``, dense or sparse.
     Columns are normalized before the rank computation so large |S| and
     deep powers cannot overflow; normalization does not change the span.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != s.n:
-        raise ValueError(f"signal has {x.shape[0]} entries, operator is {s.n}x{s.n}")
+    if s.shape != (x.shape[0], x.shape[0]):
+        raise ValueError(f"signal has {x.shape[0]} entries, operator is {s.shape}")
     if np.linalg.norm(x) == 0.0:
         raise ValueError("zero signal spans nothing")
-    cols = np.zeros((s.n, k_max))
+    cols = np.zeros((x.shape[0], k_max))
     v = x
     for k in range(k_max):
         nv = np.linalg.norm(v)
         if nv > 0.0:
             cols[:, k] = v / nv
-        v = s.matrix @ cols[:, k]
+        v = s @ cols[:, k]
     return numerical_rank(cols)
 
 

@@ -96,6 +96,24 @@ def test_sample_random_seeded_reproducible(tmp_path):
     assert (tmp_path / "a" / "kept.txt").read_bytes() == (tmp_path / "b" / "kept.txt").read_bytes()
 
 
+def test_sample_degree_greedy_needs_no_features(tmp_path, capsys):
+    g = hs.build_graph([(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)], n=6)
+    write_edge_list(g, tmp_path / "g.txt")
+    write_features_csv(np.arange(12.0).reshape(6, 2), tmp_path / "x.csv")
+    args = ["sample", "--graph", str(tmp_path / "g.txt"), "--gamma", "0.5"]
+    greedy = args + ["--method", "degree_greedy"]
+    assert main(greedy + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(greedy + ["--features", str(tmp_path / "x.csv"), "--out", str(tmp_path / "with_x")]) == 0
+    kept = (tmp_path / "plain" / "kept.txt").read_bytes()
+    assert kept == (tmp_path / "with_x" / "kept.txt").read_bytes()
+    assert read_kept(tmp_path / "plain" / "kept.txt").tolist() == [1, 2, 3]
+    assert not (tmp_path / "plain" / "features.csv").exists()
+    capsys.readouterr()
+    # the score sampler is the one that reads features
+    assert main(args + ["--method", "homophily", "--out", str(tmp_path / "h")]) == 2
+    assert "requires --features" in capsys.readouterr().err
+
+
 def test_metrics_command_writes_report(p3_dir, capsys):
     out = p3_dir / "report.json"
     rc = main(["metrics", "--graph", str(p3_dir / "graph.txt"), "--features", str(p3_dir / "vary.csv"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import homsample as hs
 from homsample.errors import NumericalError
@@ -12,7 +13,7 @@ from homsample.gnn import (
     shift_matrix,
 )
 
-from util import random_graph
+from util import dense_laplacian, random_edge_pairs, random_graph
 
 
 def make_model(rng_seed, d_in, n_classes, **cfg_kw):
@@ -193,6 +194,43 @@ def test_shift_matrix_kinds():
     norm2 = shift_matrix(g2, "gcn_norm").toarray()
     assert np.all(np.isfinite(norm2))
     assert norm2[2, 2] == 1.0
+
+
+def shift_matrix_coo_reference(g, kind):
+    """The shift built from COO (row, column) pairs, row ids repeated from the CSR."""
+    n = g.n
+    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
+    a = sp.csr_array((np.ones(src.shape[0]), (src, g.indices)), shape=(n, n))
+    if kind == "adjacency":
+        return a
+    deg = np.asarray(a.sum(axis=1)).reshape(-1)
+    if kind == "laplacian":
+        return (sp.diags_array(deg, format="csr") - a).tocsr()
+    a = a + sp.eye_array(n, format="csr")
+    dinv = 1.0 / np.sqrt(deg + 1.0)
+    return a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
+
+
+def test_shift_matrix_equals_coo_construction():
+    rng = np.random.default_rng(12)
+    isolated = 0
+    for n, p in [(1, 0.0), (12, 0.0), (40, 0.03), (60, 0.3)]:
+        g = hs.build_graph(random_edge_pairs(rng, n, p), n=n)
+        isolated += int(np.sum(g.degrees() == 0))
+        for kind in ("adjacency", "laplacian", "gcn_norm"):
+            got, ref = shift_matrix(g, kind), shift_matrix_coo_reference(g, kind)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, kind, name)
+    assert isolated > 13
+
+
+def test_shift_matrix_matches_dense_oracles():
+    rng = np.random.default_rng(8)
+    for n, p in [(1, 0.0), (12, 0.0), (25, 0.2), (40, 0.6)]:
+        g = random_graph(rng, n, p)
+        assert np.array_equal(shift_matrix(g, "adjacency").toarray(), g.adjacency_dense())
+        assert np.array_equal(shift_matrix(g, "laplacian").toarray(), dense_laplacian(g))
 
 
 def test_train_separable_classes_on_edgeless_graph():

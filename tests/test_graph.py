@@ -58,6 +58,56 @@ def test_build_csr_matches_unique_rows_oracle():
     assert g.m == 0 and g.indptr.tolist() == [0] * 5 and g.indices.size == 0
 
 
+# (n, p) per case: a single node, an edgeless graph, sparse graphs with
+# isolated nodes, and a dense one
+EDGE_VIEW_CASES = [(1, 0.0), (12, 0.0), (40, 0.03), (80, 0.02), (60, 0.3)]
+
+
+def test_edges_equal_the_generated_pairs():
+    rng = np.random.default_rng(13)
+    isolated = 0
+    for n, p in EDGE_VIEW_CASES:
+        pairs = random_edge_pairs(rng, n, p)  # u < v, lexicographic
+        g = hs.build_graph(pairs, n=n)
+        u, v = g.edges()
+        assert np.array_equal(u, pairs[:, 0]) and u.dtype == np.int64
+        assert np.array_equal(v, pairs[:, 1]) and v.dtype == np.int64
+        e = g.edge_array()
+        assert e.shape == (g.m, 2) and np.array_equal(e, pairs)
+        isolated += int(np.sum(g.degrees() == 0))
+    assert isolated > 13  # more than the single node and the edgeless graph
+
+
+def test_induced_subgraph_matches_unique_rows_oracle():
+    rng = np.random.default_rng(14)
+    checked = 0
+    for n, p in EDGE_VIEW_CASES:
+        pairs = random_edge_pairs(rng, n, p)
+        g = hs.build_graph(pairs, n=n)
+        deg = g.degrees()
+        keeps = [
+            np.arange(n),
+            np.arange(1, n),  # drops row 0
+            np.arange(n - 1),  # drops the last row
+            np.flatnonzero(deg == 0),  # isolated nodes only
+            np.sort(rng.choice(n, size=(n + 1) // 2, replace=False)),
+        ]
+        for keep in keeps:
+            if keep.size == 0:
+                continue
+            kept = np.zeros(n, dtype=bool)
+            kept[keep] = True
+            both = kept[pairs[:, 0]] & kept[pairs[:, 1]]
+            relabelled = np.searchsorted(keep, pairs[both])
+            indptr, indices = _unique_rows_csr(relabelled, keep.size)
+            sub = hs.induced_subgraph(g, keep)
+            assert sub.n == keep.size and sub.m == indices.size // 2
+            assert np.array_equal(sub.indptr, indptr) and sub.indptr.dtype == np.int64
+            assert np.array_equal(sub.indices, indices) and sub.indices.dtype == np.int64
+            checked += 1
+    assert checked >= 20
+
+
 def test_node_index_set_matches_np_unique():
     rng = np.random.default_rng(12)
     for size in (1, 2, 17, 1000):

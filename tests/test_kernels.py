@@ -47,7 +47,7 @@ def test_edge_distance_sum_matches_dense_trace():
     for g in [big, hs.build_graph([], n=1), random_graph(rng, 30, 0.0), random_graph(rng, 60, 0.2)]:
         x = rng.standard_normal((g.n, 3))
         dense = float(np.trace(x.T @ dense_laplacian(g) @ x))  # tr(X^T L X)
-        got = _kernels.edge_distance_sum(g.indptr, g.indices, x)
+        got = _kernels.edge_distance_sum(*g.edges(), x)
         assert got == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_edge_distance_sum_wide_features_span_several_chunks():
     x = rng.standard_normal((g.n, 64))
     assert g.m > _kernels._chunk_rows(64)
     dense = float(np.trace(x.T @ dense_laplacian(g) @ x))
-    got = _kernels.edge_distance_sum(g.indptr, g.indices, x)
+    got = _kernels.edge_distance_sum(*g.edges(), x)
     assert got == pytest.approx(dense, rel=1e-9)
 
 
@@ -66,7 +66,7 @@ def test_component_labels_match_bfs_on_random_graphs():
     for _ in range(30):
         n = int(rng.integers(1, 150))
         g = random_graph(rng, n, rng.uniform(0.0, 3.0 / n))  # from isolated to one piece
-        count, labels = _kernels.component_labels(g.indptr, g.indices)
+        count, labels = _kernels.component_labels(g.n, *g.edges())
         ref_count, ref_labels = bfs_labels_reference(g)
         assert count == ref_count
         assert labels.dtype == np.int64
@@ -80,7 +80,7 @@ def test_component_labels_many_components_and_deep_chains():
     perm = rng.permutation(n)
     pairs = [(perm[i], perm[i + 1]) for i in range(n - 1) if i % 7 != 6]
     g = hs.build_graph(pairs, n=n)
-    count, labels = _kernels.component_labels(g.indptr, g.indices)
+    count, labels = _kernels.component_labels(g.n, *g.edges())
     ref_count, ref_labels = bfs_labels_reference(g)
     assert count == ref_count > 400
     assert labels.tolist() == ref_labels
@@ -88,7 +88,7 @@ def test_component_labels_many_components_and_deep_chains():
     n = 5000
     perm = rng.permutation(n)
     g = hs.build_graph(np.column_stack([perm[:-1], perm[1:]]), n=n)
-    count, labels = _kernels.component_labels(g.indptr, g.indices)
+    count, labels = _kernels.component_labels(g.n, *g.edges())
     assert count == 1
     assert not labels.any()
 

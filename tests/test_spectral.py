@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import homsample as hs
-from homsample.spectral import ShiftOperator, numerical_rank, shift_from_graph
+from homsample.gnn import shift_matrix
 
-from util import dense_laplacian, random_graph
+from util import random_graph
 
 
 def planted_rank_operator(rng, n, r):
@@ -12,19 +12,19 @@ def planted_rank_operator(rng, n, r):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = np.zeros(n)
     lam[:r] = rng.uniform(0.5, 2.0, size=r) * rng.choice([-1.0, 1.0], size=r)
-    return ShiftOperator(q @ np.diag(lam) @ q.T)
+    return q @ np.diag(lam) @ q.T
 
 
 def test_span_dimension_identity_and_zero_operator():
     x = np.arange(1.0, 6.0)
-    assert hs.conv_span_dimension(ShiftOperator(np.eye(5)), x, 6) == 1
-    assert hs.conv_span_dimension(ShiftOperator(np.zeros((5, 5))), x, 5) == 1
+    assert hs.conv_span_dimension(np.eye(5), x, 6) == 1
+    assert hs.conv_span_dimension(np.zeros((5, 5)), x, 5) == 1
 
 
 def test_span_dimension_planted_rank_four():
     rng = np.random.default_rng(0)
     s = planted_rank_operator(rng, 10, 4)
-    assert hs.shift_rank(s) == 4
+    assert hs.numerical_rank(s) == 4
     x = rng.standard_normal(10)
     dim = hs.conv_span_dimension(s, x, 10)
     assert dim <= 5
@@ -32,13 +32,15 @@ def test_span_dimension_planted_rank_four():
 
 
 def test_span_dimension_rejects_bad_input():
-    s = ShiftOperator(np.eye(3))
+    s = np.eye(3)
     with pytest.raises(ValueError):
         hs.conv_span_dimension(s, np.zeros(3), 4)
     with pytest.raises(ValueError):
         hs.conv_span_dimension(s, np.ones(3), 0)
     with pytest.raises(ValueError):
         hs.conv_span_dimension(s, np.ones(4), 2)
+    with pytest.raises(ValueError):
+        hs.conv_span_dimension(np.ones((3, 4)), np.ones(3), 2)
 
 
 def test_span_dimension_invariant_to_signal_scaling():
@@ -52,26 +54,36 @@ def test_span_dimension_invariant_to_signal_scaling():
 
 def test_span_dimension_large_spectral_radius_no_overflow():
     rng = np.random.default_rng(2)
-    s = ShiftOperator(10.0 * planted_rank_operator(rng, 8, 3).matrix)
+    s = 10.0 * planted_rank_operator(rng, 8, 3)
     dim = hs.conv_span_dimension(s, rng.standard_normal(8), 200)
     assert 1 <= dim <= 4
 
 
-def test_shift_rank_of_laplacians():
+def test_numerical_rank_of_laplacians():
     g = random_graph(np.random.default_rng(3), 15, 0.4)
     assert hs.connected_components(g)[0] == 1
-    s = shift_from_graph(g, "laplacian")
-    assert hs.shift_rank(s) == 14
+    assert hs.numerical_rank(shift_matrix(g, "laplacian").toarray()) == 14
     g2 = hs.build_graph([(0, 1), (2, 3)])
-    assert hs.shift_rank(shift_from_graph(g2, "laplacian")) == 2
+    assert hs.numerical_rank(shift_matrix(g2, "laplacian").toarray()) == 2
 
 
-def test_shift_rank_matches_laplacian_rank_on_random_graphs():
+def test_numerical_rank_matches_laplacian_rank_on_random_graphs():
     rng = np.random.default_rng(4)
     for _ in range(10):
         n = int(rng.integers(3, 40))
         g = random_graph(rng, n, 0.1)
-        assert hs.shift_rank(shift_from_graph(g, "laplacian")) == hs.laplacian_rank(g)
+        assert hs.numerical_rank(shift_matrix(g, "laplacian").toarray()) == hs.laplacian_rank(g)
+
+
+def test_span_dimension_of_sparse_and_dense_shifts_agree():
+    rng = np.random.default_rng(9)
+    for n in (5, 30):
+        g = random_graph(rng, n, 0.2)
+        x = rng.standard_normal(n)
+        for kind in ("adjacency", "laplacian", "gcn_norm"):
+            s = shift_matrix(g, kind)
+            for k in (1, 3, 8):
+                assert hs.conv_span_dimension(s, x, k) == hs.conv_span_dimension(s.toarray(), x, k)
 
 
 def test_span_bound_holds_on_randomized_trials():
@@ -96,31 +108,5 @@ def test_leverage_identity():
     assert hs.leverage_identity_check(rng.standard_normal((30, 5))) < 1e-9
 
 
-def test_shift_from_graph_matches_dense_oracles():
-    rng = np.random.default_rng(8)
-    for n, p in [(1, 0.0), (12, 0.0), (25, 0.2), (40, 0.6)]:
-        g = random_graph(rng, n, p)
-        adj = shift_from_graph(g, "adjacency")
-        lap = shift_from_graph(g, "laplacian")
-        assert (adj.kind, lap.kind) == ("adjacency", "laplacian")
-        assert np.array_equal(adj.matrix, g.adjacency_dense())
-        assert np.array_equal(lap.matrix, dense_laplacian(g))
-    with pytest.raises(ValueError, match="unsupported"):
-        shift_from_graph(g, "gcn_norm")
-    with pytest.raises(ValueError, match="too large"):
-        shift_from_graph(hs.build_graph([], n=2001), "adjacency")
-
-
-def test_shift_operator_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        ShiftOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        ShiftOperator(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="capped"):
-        ShiftOperator(np.zeros((2001, 2001)))
-    with pytest.raises(ValueError):
-        ShiftOperator(np.eye(2), kind="mystery")
-
-
 def test_numerical_rank_zero_matrix():
-    assert numerical_rank(np.zeros((4, 4))) == 0
+    assert hs.numerical_rank(np.zeros((4, 4))) == 0
