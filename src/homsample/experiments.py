@@ -31,7 +31,7 @@ from .graph import (
 )
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleSpec, canonical_method, lowest_score_nodes, sample
+from .sampling import SampleSpec, canonical_method, greedy_order, lowest_score_nodes, sample
 
 THREADS_ENV_VAR = "HOMSAMPLE_THREADS"
 
@@ -105,19 +105,22 @@ def subgraph_metrics(sub: Graph, x: np.ndarray | None) -> dict:
     """Connectivity and homophily metrics of a (sub)graph and its features.
 
     Features are re-standardized on the subsample before computing
-    homophily and the trace bound.
+    homophily and the trace bound. The edge view is built once, for the
+    components and the homophily sum, and only after standardizing, so the
+    view and the standardization's temporaries never coexist (peak RSS).
     """
+    xh = None if x is None else normalize_features(x)
+    edges = sub.edges()
     tr = laplacian_trace(sub)
-    count, _ = connected_components(sub)
+    count, _ = connected_components(sub, edges)
     out = {
         "laplacian_trace": tr,
         "adjusted_trace": adjusted_trace(sub),
         "components": count,
         "laplacian_rank": sub.n - count,
     }
-    if x is not None:
-        xh = normalize_features(x)
-        h = feature_homophily(sub, xh)
+    if xh is not None:
+        h = feature_homophily(sub, xh, edges)
         bound = trace_lower_bound(h, xh)
         out.update(
             h_g=h, trace_bound=bound, bound_satisfied=bool(tr >= bound - 1e-9)
@@ -134,19 +137,21 @@ def run_cell(
     labels: np.ndarray | None,
     plan: ExperimentPlan,
     use_raw_scores: bool = False,
+    greedy: np.ndarray | None = None,
 ) -> tuple[MetricsReport, dict]:
     """Execute one cell; returns (report, phase timings).
 
     Training (unless ``plan.metrics_only`` or labels/features are missing)
     fits the GNN on the whole subsample and reports accuracy on the nodes it
-    did not keep, or on every node when it kept them all.
+    did not keep, or on every node when it kept them all. ``greedy`` is the
+    sweep's shared degree-greedy deletion order (see ``sampling.sample``).
     """
     timings: dict[str, float] = {}
     spec = SampleSpec(
         gamma=cell.gamma, method=cell.method, seed=cell.seed, use_raw_scores=use_raw_scores
     )
     t0 = time.perf_counter()
-    result = sample(g, spec, x=x, labels=labels)
+    result = sample(g, spec, x=x, labels=labels, greedy=greedy)
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -279,15 +284,18 @@ def run_experiment(
 
     Cells run independently (optionally in a thread pool capped by
     HOMSAMPLE_THREADS); the summary is assembled in plan order after the
-    join, so outputs are reproducible regardless of worker count.
+    join, so outputs are reproducible regardless of worker count. The
+    degree-greedy deletion order is computed once, at the plan's largest
+    budget, and every degree_greedy cell keeps the complement of its prefix.
     """
     cells = expand_cells(plan)
     outcomes: dict[Cell, MetricsReport | Exception] = {}
     timing_map: dict[Cell, dict] = {}
+    greedy = greedy_order(g, plan.rates) if "degree_greedy" in plan.methods else None
 
     def _run(cell: Cell):
         try:
-            return run_cell(cell, g, x, labels, plan)
+            return run_cell(cell, g, x, labels, plan, greedy=greedy)
         except (ValueError, DataError, NumericalError) as exc:
             return exc
 

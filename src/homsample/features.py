@@ -81,15 +81,16 @@ def correlation_trace(xh) -> float:
     return float(np.sum(node_scores(xh)))
 
 
-def feature_homophily(g: Graph, xh) -> float:
+def feature_homophily(g: Graph, xh, edges=None) -> float:
     """Feature homophily: -(1/n) * sum over edges of |Xh_i - Xh_j|^2.
 
-    Edge-wise evaluation of tr(-L XhXh^T)/n, O(dm); always <= 0.
+    Edge-wise evaluation of tr(-L XhXh^T)/n, O(dm); always <= 0. ``edges``
+    may pass ``g.edges()`` when the caller already holds it.
     """
     values = xh.values if isinstance(xh, NormalizedFeatures) else np.asarray(xh, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != g.n:
         raise ValueError(f"features have {values.shape[0]} rows, graph has {g.n} nodes")
-    total = _kernels.edge_distance_sum(*g.edges(), values)
+    total = _kernels.edge_distance_sum(*(g.edges() if edges is None else edges), values)
     h = -total / g.n if total > 0.0 else 0.0  # avoid -0.0
     assert h <= 0.0
     return h

@@ -106,22 +106,45 @@ def sample_random(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResu
     return _restrict(g, kept_ids, x, labels)
 
 
-def sample_degree_greedy(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:
+def greedy_order(g: Graph, gammas) -> np.ndarray:
+    """Greedy deletion order at the largest deletion budget of the keep rates ``gammas``.
+
+    The order at a smaller budget is a prefix of it: each deletion depends
+    only on the ones before it.
+    """
+    budget = max(deletion_budget(g.n, gamma) for gamma in gammas)
+    return _kernels.greedy_min_degree_order(g.indptr, g.indices, budget)
+
+
+def sample_degree_greedy(
+    g: Graph, spec: SampleSpec, x=None, labels=None, order: np.ndarray | None = None
+) -> SampleResult:
     """Iteratively delete the minimum-degree node, recomputing degrees.
 
     The sequential baseline that maximizes the remaining Laplacian trace
-    greedily; ties delete the smaller index first.
+    greedily; ties delete the smaller index first. ``order``, a deletion
+    order from ``greedy_order`` at a budget at least this one's, saves
+    recomputing it; the sample is the same either way.
     """
     keep_n = _keep_count(g.n, spec.gamma)
-    removed = _kernels.greedy_min_degree_order(g.indptr, g.indices, g.n - keep_n)
+    n_remove = g.n - keep_n
+    if order is None:
+        order = greedy_order(g, (spec.gamma,))
+    elif order.shape[0] < n_remove:
+        raise ValueError(f"greedy order holds {order.shape[0]} deletions, need {n_remove}")
+    removed = order[:n_remove]
     kept_mask = np.ones(g.n, dtype=bool)
     kept_mask[removed] = False
     kept_ids = np.flatnonzero(kept_mask)
     return _restrict(g, kept_ids, x, labels)
 
 
-def sample(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:
-    """Dispatch to the sampler named by ``spec.method``."""
+def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> SampleResult:
+    """Dispatch to the sampler named by ``spec.method``.
+
+    ``greedy`` is an optional shared deletion order for ``degree_greedy``
+    (see ``sample_degree_greedy``); the other methods ignore it.
+    """
     method = spec.method
     if method == "homophily":
         if x is None:
@@ -129,4 +152,4 @@ def sample(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:
         return sample_homophily(g, x, spec, labels=labels)
     if method == "random":
         return sample_random(g, spec, x=x, labels=labels)
-    return sample_degree_greedy(g, spec, x=x, labels=labels)
+    return sample_degree_greedy(g, spec, x=x, labels=labels, order=greedy)

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from homsample.io_formats import (
     read_features_csv,
     read_kept,
     read_report,
+    report_to_text,
     write_edge_list,
     write_features_csv,
     write_labels_csv,
@@ -323,6 +329,12 @@ def test_experiment_rerun_identical_bytes(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def canonical_outputs(outdir):
+    """Report and summary bytes of an experiment directory, by file name."""
+    paths = sorted(outdir.glob("report__*.json")) + [outdir / "summary.csv"]
+    return {p.name: p.read_bytes() for p in paths}
+
+
 def test_experiment_workers_match_serial(tmp_path, monkeypatch):
     args = [
         "experiment", "--synth", "blocks,n=50,intra=0.2,inter=0.05,d=4,tau=0.2,seed=5",
@@ -331,9 +343,55 @@ def test_experiment_workers_match_serial(tmp_path, monkeypatch):
     assert main(args + ["--out", str(tmp_path / "serial")]) == 0
     monkeypatch.setenv("HOMSAMPLE_THREADS", "2")
     assert main(args + ["--workers", "4", "--out", str(tmp_path / "par")]) == 0
-    assert (tmp_path / "serial" / "summary.csv").read_bytes() == (
-        tmp_path / "par" / "summary.csv"
-    ).read_bytes()
+    serial = canonical_outputs(tmp_path / "serial")
+    assert len(serial) == 6 + 1
+    assert canonical_outputs(tmp_path / "par") == serial
+    # training cells of every method, serial against two workers
+    train = [
+        "experiment", "--synth", "blocks,n=120,intra=0.2,inter=0.03,d=4,tau=0.2,seed=6",
+        "--rates", "0.5,0.8", "--methods", "homophily,random,degree_greedy", "--reps", "2",
+        "--epochs", "15", "--hidden", "8",
+    ]
+    assert main(train + ["--workers", "1", "--out", str(tmp_path / "train1")]) == 0
+    assert main(train + ["--workers", "2", "--out", str(tmp_path / "train2")]) == 0
+    serial = canonical_outputs(tmp_path / "train1")
+    assert len(serial) == 2 * (1 + 2 + 1) + 1
+    assert b'"accuracy": null' not in b"".join(serial.values())
+    assert canonical_outputs(tmp_path / "train2") == serial
+
+
+def test_multi_rate_greedy_sweep_matches_single_rate_sweeps(tmp_path):
+    synth = "blocks,n=150,intra=0.1,inter=0.02,d=4,tau=0.2,seed=7"
+    rates = ["0.6", "0.1", "1", "0.35", "0.9"]  # the largest budget is not first
+    base = ["experiment", "--synth", synth, "--methods", "degree_greedy", "--metrics-only"]
+    assert main(base + ["--rates", ",".join(rates), "--out", str(tmp_path / "all")]) == 0
+    for i, rate in enumerate(rates):
+        one = tmp_path / f"one{i}"
+        assert main(base + ["--rates", rate, "--out", str(one)]) == 0
+        single = read_report(one / "report__r00_degree_greedy_rep000.json")
+        multi = read_report(tmp_path / "all" / f"report__r{i:02d}_degree_greedy_rep000.json")
+        # the seed is derived from the cell's place in the plan; greedy reads none
+        assert report_to_text(replace(single, seed=multi.seed)) == report_to_text(multi)
+
+
+def test_import_pins_blas_to_one_thread_unless_set():
+    code = "import json, os, homsample; print(json.dumps({v: os.environ.get(v) for v in %r}))"
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    src = str(Path(hs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def env_after_import(extra):
+        out = subprocess.run(
+            [sys.executable, "-c", code % (names,)], env={**env, **extra},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        return json.loads(out.stdout)
+
+    assert env_after_import({}) == dict.fromkeys(names, "1")
+    assert env_after_import({"OPENBLAS_NUM_THREADS": "3"}) == {
+        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+    }
 
 
 def test_bench_trivial_run(capsys):

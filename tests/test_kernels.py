@@ -110,3 +110,22 @@ def test_greedy_order_matches_resimulation():
         assert got.tolist() == greedy_order_reference(g, k)
     g = graphs[0]
     assert _kernels.greedy_min_degree_order(g.indptr, g.indices, 0).size == 0
+
+
+def test_greedy_order_at_each_budget_is_a_prefix_of_the_largest():
+    rng = np.random.default_rng(6)
+    graphs = [
+        hs.build_graph([], n=1),
+        hs.build_graph([], n=7),  # m = 0: every degree ties
+        hs.build_graph([(i, (i + 1) % 40) for i in range(40)]),  # cycle: all degrees tie
+        hs.build_graph([(0, 1), (1, 2), (2, 0)], n=9),  # a triangle and six isolated nodes
+    ]
+    for _ in range(20):
+        n = int(rng.integers(2, 120))
+        graphs.append(random_graph(rng, n, rng.uniform(0.0, 6.0) / n))
+    for g in graphs:
+        full = _kernels.greedy_min_degree_order(g.indptr, g.indices, g.n)
+        assert sorted(full.tolist()) == list(range(g.n))
+        for k in range(g.n + 1):
+            got = _kernels.greedy_min_degree_order(g.indptr, g.indices, k)
+            assert got.tolist() == full[:k].tolist()

@@ -176,6 +176,23 @@ def test_degree_greedy_matches_brute_force_resimulation():
         assert res.kept.indices.tolist() == np.flatnonzero(alive).tolist()
 
 
+def test_degree_greedy_shared_order_gives_the_same_sample():
+    rng = np.random.default_rng(9)
+    g = random_graph(rng, 60, 0.08)
+    gammas = (0.9, 0.25, 0.6, 1.0, 0.1)
+    order = sampling.greedy_order(g, gammas)
+    assert order.size == deletion_budget(g.n, 0.1)
+    for gamma in gammas:
+        spec = SampleSpec(gamma=gamma, method="degree_greedy")
+        own = hs.sample_degree_greedy(g, spec)
+        shared = hs.sample(g, spec, greedy=order)
+        assert shared.kept.indices.tolist() == own.kept.indices.tolist()
+        assert np.array_equal(shared.subgraph.indices, own.subgraph.indices)
+    short = sampling.greedy_order(g, (0.9,))
+    with pytest.raises(ValueError, match="greedy order holds"):
+        hs.sample_degree_greedy(g, SampleSpec(gamma=0.5, method="degree_greedy"), order=short)
+
+
 def test_empty_sample_rejected():
     g = path_graph(4)
     with pytest.raises(ValueError, match="empty sample"):
