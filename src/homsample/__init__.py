@@ -5,18 +5,7 @@ standardized-feature scores, preserving Laplacian trace (a connectivity
 proxy) better than random subsampling on homophilic graphs, at O(dm) cost.
 Ships baseline samplers, connectivity metrics, a small graph convolutional
 network for transfer experiments, graphon generators, and a CLI harness.
-
-Importing the package before numpy runs BLAS on one thread per process
-(a value the caller already set is kept): the per-cell matrices are too
-small to gain from BLAS threads, and experiment parallelism comes from
-``--workers`` instead.
 """
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
 
 from .errors import DataError, NumericalError
 from .features import (

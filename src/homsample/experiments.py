@@ -10,22 +10,24 @@ fixed plan; wall-clock sidecars are the only non-deterministic files.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import DataError, NumericalError, UsageError
 from .features import feature_homophily, node_scores, normalize_features, trace_lower_bound
 from .gnn import GnnConfig, evaluate, train
 from .graph import (
     Graph,
     adjusted_trace,
-    connected_components,
     induced_subgraph,
     laplacian_trace,
 )
@@ -112,7 +114,7 @@ def subgraph_metrics(sub: Graph, x: np.ndarray | None) -> dict:
     xh = None if x is None else normalize_features(x)
     edges = sub.edges()
     tr = laplacian_trace(sub)
-    count, _ = connected_components(sub, edges)
+    count, _ = _kernels.component_labels(sub.n, *edges)
     out = {
         "laplacian_trace": tr,
         "adjusted_trace": adjusted_trace(sub),
@@ -201,6 +203,50 @@ def _worker_count(plan: ExperimentPlan) -> int:
     return max(1, workers)
 
 
+# (set, get) thread-count functions of the OpenBLAS that Linux numpy wheels
+# bundle: numpy >= 2 ships scipy-openblas, numpy 1.24-1.26 an ILP64 OpenBLAS.
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+
+
+def _openblas_thread_funcs():
+    """numpy's OpenBLAS (set, get) thread-count functions, or None without one."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                return getattr(lib, set_name), getattr(lib, get_name)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, then restore its count.
+
+    Worker threads that each start BLAS threads oversubscribe the cores: on
+    2 vCPUs, a 30-cell training sweep (n = 2000, d = 16) at two workers took
+    14.4 s with BLAS threads and 7.1 s without. Serial runs keep them: a
+    one-worker sweep on d = 1433 features took 27.5 s with them and 44.5 s
+    without. Without an OpenBLAS in numpy's wheel libraries this does nothing.
+    """
+    funcs = _openblas_thread_funcs()
+    if funcs is None:
+        yield
+        return
+    set_threads, get_threads = funcs
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _mean_se(values: list[float]) -> tuple[float, float]:
     a = np.asarray(values, dtype=np.float64)
     mean = float(a.mean())
@@ -284,14 +330,21 @@ def run_experiment(
 
     Cells run independently (optionally in a thread pool capped by
     HOMSAMPLE_THREADS); the summary is assembled in plan order after the
-    join, so outputs are reproducible regardless of worker count. The
+    join, so outputs are reproducible regardless of worker count. With more
+    than one worker, BLAS runs on one thread while the pool runs. The
     degree-greedy deletion order is computed once, at the plan's largest
-    budget, and every degree_greedy cell keeps the complement of its prefix.
+    budget, and every degree_greedy cell keeps the complement of its prefix;
+    each such cell's timing sidecar records that one-off time as
+    ``greedy_order``, outside its ``sample`` phase.
     """
     cells = expand_cells(plan)
     outcomes: dict[Cell, MetricsReport | Exception] = {}
     timing_map: dict[Cell, dict] = {}
-    greedy = greedy_order(g, plan.rates) if "degree_greedy" in plan.methods else None
+    greedy = None
+    if "degree_greedy" in plan.methods:
+        t0 = time.perf_counter()
+        greedy = greedy_order(g, plan.rates)
+        greedy_s = time.perf_counter() - t0
 
     def _run(cell: Cell):
         try:
@@ -301,7 +354,7 @@ def run_experiment(
 
     workers = _worker_count(plan)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run, cells))
     else:
         results = [_run(c) for c in cells]
@@ -310,6 +363,8 @@ def run_experiment(
             outcomes[cell] = res
         else:
             outcomes[cell], timing_map[cell] = res
+            if cell.method == "degree_greedy":
+                timing_map[cell]["greedy_order"] = greedy_s
 
     rows = summarize(plan, outcomes)
     if outdir is not None:

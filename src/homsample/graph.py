@@ -158,12 +158,9 @@ def adjusted_trace(g: Graph) -> float:
     return laplacian_trace(g) / g.n
 
 
-def connected_components(g: Graph, edges=None) -> tuple[int, np.ndarray]:
-    """Component count and a per-node component label array.
-
-    ``edges`` may pass ``g.edges()`` when the caller already holds it.
-    """
-    return _kernels.component_labels(g.n, *(g.edges() if edges is None else edges))
+def connected_components(g: Graph) -> tuple[int, np.ndarray]:
+    """Component count and a per-node component label array."""
+    return _kernels.component_labels(g.n, *g.edges())
 
 
 def laplacian_rank(g: Graph) -> int:

@@ -1,10 +1,6 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,26 +368,11 @@ def test_multi_rate_greedy_sweep_matches_single_rate_sweeps(tmp_path):
         multi = read_report(tmp_path / "all" / f"report__r{i:02d}_degree_greedy_rep000.json")
         # the seed is derived from the cell's place in the plan; greedy reads none
         assert report_to_text(replace(single, seed=multi.seed)) == report_to_text(multi)
-
-
-def test_import_pins_blas_to_one_thread_unless_set():
-    code = "import json, os, homsample; print(json.dumps({v: os.environ.get(v) for v in %r}))"
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    src = str(Path(hs.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-
-    def env_after_import(extra):
-        out = subprocess.run(
-            [sys.executable, "-c", code % (names,)], env={**env, **extra},
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        return json.loads(out.stdout)
-
-    assert env_after_import({}) == dict.fromkeys(names, "1")
-    assert env_after_import({"OPENBLAS_NUM_THREADS": "3"}) == {
-        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-    }
+    # each cell's sidecar carries the shared order's one-off time, outside its sample phase
+    sidecars = [json.loads(p.read_text()) for p in sorted((tmp_path / "all").glob("timings__*.json"))]
+    assert len(sidecars) == len(rates)
+    assert all(set(t) == {"sample", "metrics", "greedy_order"} for t in sidecars)
+    assert len({t["greedy_order"] for t in sidecars}) == 1
 
 
 def test_bench_trivial_run(capsys):

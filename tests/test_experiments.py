@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import homsample as hs
+from homsample import experiments
 from homsample.experiments import (
     ExperimentPlan,
     expand_cells,
@@ -127,3 +128,42 @@ def test_gamma_one_cell_evaluates_on_all_nodes():
     rows = run_experiment(plan, ds.graph, x=ds.features, labels=ds.labels)
     assert rows[0]["runs"] == 1
     assert 0.0 <= rows[0]["accuracy_mean"] <= 1.0
+
+
+def test_blas_runs_on_one_thread_only_while_workers_run(monkeypatch):
+    funcs = experiments._openblas_thread_funcs()
+    if funcs is None:
+        pytest.skip("numpy has no OpenBLAS in its wheel libraries")
+    set_threads, get_threads = funcs
+    monkeypatch.delenv("HOMSAMPLE_THREADS", raising=False)
+    rng = np.random.default_rng(2)
+    g = random_graph(rng, 40, 0.15)
+    seen = []
+    real_run_cell = experiments.run_cell
+
+    def spy(*args, **kwargs):
+        seen.append(get_threads())
+        return real_run_cell(*args, **kwargs)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    before = get_threads()
+    set_threads(2)
+    try:
+        monkeypatch.setattr(experiments, "run_cell", spy)
+        for workers, inside in ((1, 2), (2, 1), (3, 1)):
+            seen.clear()
+            plan = ExperimentPlan(rates=(0.5, 0.8), methods=("random", "degree_greedy"), reps=2,
+                                  metrics_only=True, workers=workers)
+            run_experiment(plan, g)
+            assert seen == [inside] * 6
+            assert get_threads() == 2
+        # the count comes back also when a cell raises out of the pool
+        monkeypatch.setattr(experiments, "run_cell", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(ExperimentPlan(rates=(0.5,), methods=("random",), reps=2,
+                                          metrics_only=True, workers=2), g)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
