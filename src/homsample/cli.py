@@ -2,7 +2,7 @@
 
 Subcommands: synth, homophily, sample, metrics, train-eval, experiment,
 bench. Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure. HOMSAMPLE_THREADS caps experiment parallelism.
+failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
@@ -98,7 +100,7 @@ def _add_gnn_args(p):
     p.add_argument("--shift", choices=SHIFT_CHOICES, default="gcn_norm")
 
 
-def _gnn_config(args, seed: int) -> GnnConfig:
+def _gnn_config(args) -> GnnConfig:
     return GnnConfig(
         layers=args.layers,
         taps=args.taps,
@@ -107,18 +109,20 @@ def _gnn_config(args, seed: int) -> GnnConfig:
         epochs=args.epochs,
         lr=args.lr,
         weight_decay=args.weight_decay,
-        seed=seed,
+        seed=args.seed,
     )
 
 
-def _load_dataset(args, need_features=True, need_labels=False):
+def _load_dataset(args, need_features=True):
     g = read_edge_list(args.graph)
-    x = read_features_csv(args.features) if getattr(args, "features", None) else None
-    y = read_labels_csv(args.labels) if getattr(args, "labels", None) else None
+    x = read_features_csv(args.features) if args.features else None
+    y = read_labels_csv(args.labels) if args.labels else None
     if need_features and x is None:
         raise DataError("this command requires --features")
-    if need_labels and y is None:
-        raise DataError("this command requires --labels")
+    if x is not None:
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise DataError(f"{args.features}: non-finite value in row {int(np.argmax(bad)) + 1}")
     check_sizes(g, x, y)
     return g, x, y
 
@@ -174,13 +178,13 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_train_eval(args) -> int:
-    g, x, y = _load_dataset(args, need_labels=True)
+    g, x, y = _load_dataset(args)
     plan = ExperimentPlan(
         rates=(args.gamma,),
         methods=(args.method,),
         reps=1,
         seed=args.seed,
-        gnn=_gnn_config(args, args.seed),
+        gnn=_gnn_config(args),
         dataset_id=Path(args.graph).stem,
     )
     cell = Cell(rate_idx=0, method=args.method, rep=0, gamma=args.gamma, seed=args.seed)
@@ -193,12 +197,12 @@ def cmd_train_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.synth:
+        if args.features or args.labels:
+            raise UsageError("--synth generates its own features and labels")
         ds = generate_dataset(parse_graphon_spec(args.synth))
         g, x, y = ds.graph, ds.features, ds.labels
         dataset_id = "synth"
     else:
-        if not args.graph:
-            raise UsageError("experiment needs --graph or --synth")
         g, x, y = _load_dataset(args, need_features=False)
         dataset_id = Path(args.graph).stem
     plan = ExperimentPlan(
@@ -206,7 +210,7 @@ def cmd_experiment(args) -> int:
         methods=tuple(args.methods.split(",")),
         reps=args.reps,
         seed=args.seed,
-        gnn=_gnn_config(args, args.seed),
+        gnn=_gnn_config(args),
         metrics_only=args.metrics_only,
         dataset_id=dataset_id,
         workers=args.workers,
@@ -272,10 +276,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train_eval)
 
     p = sub.add_parser("experiment", help="rate/method sweep with reports and summary")
-    p.add_argument("--graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="edge list file")
+    source.add_argument("--synth", help="graphon spec string instead of files")
     p.add_argument("--features")
     p.add_argument("--labels")
-    p.add_argument("--synth", help="graphon spec string instead of files")
     p.add_argument("--rates", type=_rate_list, required=True)
     p.add_argument("--methods", default="homophily,random")
     p.add_argument("--reps", type=_positive_int, default=50)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError
 from .features import feature_homophily, node_scores, normalize_features, trace_lower_bound
 from .gnn import GnnConfig, evaluate, train
 from .graph import (
@@ -33,9 +32,7 @@ from .graph import (
 )
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleSpec, canonical_method, greedy_order, lowest_score_nodes, sample
-
-THREADS_ENV_VAR = "HOMSAMPLE_THREADS"
+from .sampling import SampleSpec, check_method, greedy_order, lowest_score_nodes, sample
 
 
 @dataclass(frozen=True)
@@ -59,12 +56,12 @@ class ExperimentPlan:
                 raise ValueError(f"rates must lie in (0, 1], got {r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        methods = tuple(canonical_method(m) for m in self.methods)
-        if len(set(methods)) < len(methods):
-            raise ValueError(
-                f"duplicate sampling method in {','.join(self.methods)!r} ({','.join(methods)})"
-            )
-        object.__setattr__(self, "methods", methods)
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        for m in self.methods:
+            check_method(m)
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"duplicate sampling method in {','.join(self.methods)!r}")
 
 
 @dataclass(frozen=True)
@@ -193,16 +190,6 @@ def run_cell(
     return report, timings
 
 
-def _worker_count(plan: ExperimentPlan) -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    workers = plan.workers
-    if cap:
-        if not cap.strip().isdecimal() or int(cap) < 1:
-            raise UsageError(f"{THREADS_ENV_VAR} must be a positive integer, got {cap!r}")
-        workers = min(workers, int(cap))
-    return max(1, workers)
-
-
 # (set, get) thread-count functions of the OpenBLAS that Linux numpy wheels
 # bundle: numpy >= 2 ships scipy-openblas, numpy 1.24-1.26 an ILP64 OpenBLAS.
 _OPENBLAS_THREAD_FUNCS = (
@@ -328,8 +315,8 @@ def run_experiment(
 ) -> list[dict]:
     """Run every cell of the plan, write reports and the summary, return rows.
 
-    Cells run independently (optionally in a thread pool capped by
-    HOMSAMPLE_THREADS); the summary is assembled in plan order after the
+    Cells run independently (in a pool of ``plan.workers`` threads when
+    that is above 1); the summary is assembled in plan order after the
     join, so outputs are reproducible regardless of worker count. With more
     than one worker, BLAS runs on one thread while the pool runs. The
     degree-greedy deletion order is computed once, at the plan's largest
@@ -352,9 +339,8 @@ def run_experiment(
         except (ValueError, DataError, NumericalError) as exc:
             return exc
 
-    workers = _worker_count(plan)
-    if workers > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+    if plan.workers > 1:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=plan.workers) as pool:
             results = list(pool.map(_run, cells))
     else:
         results = [_run(c) for c in cells]
@@ -404,28 +390,23 @@ class BenchRow:
 
 
 BENCH_COLUMNS = ("m_target", "m", "n", "d", "t_scores", "t_homophily", "t_select", "t_total")
+BENCH_AVG_DEGREE = 20.0
+BENCH_SEED = 0
 
 
-def run_bench(
-    m_targets,
-    d: int = 16,
-    gamma: float = 0.5,
-    avg_degree: float = 20.0,
-    repeats: int = 5,
-    seed: int = 0,
-) -> list[BenchRow]:
+def run_bench(m_targets, d: int = 16, gamma: float = 0.5, repeats: int = 5) -> list[BenchRow]:
     """Time the score/homophily/selection phases at each target edge count.
 
-    Graphs come from a constant graphon at fixed expected average degree, so
-    every phase grows linearly with the edge count. Per phase the minimum
-    over ``repeats`` runs is reported.
+    Graphs come from a constant graphon at expected average degree
+    ``BENCH_AVG_DEGREE``, so every phase grows linearly with the edge count.
+    Per phase the minimum over ``repeats`` runs is reported.
     """
     rows = []
     for m_t in m_targets:
-        n = max(8, int(round(2.0 * m_t / avg_degree)))
-        p = min(1.0, avg_degree / max(1, n - 1))
+        n = max(8, int(round(2.0 * m_t / BENCH_AVG_DEGREE)))
+        p = min(1.0, BENCH_AVG_DEGREE / max(1, n - 1))
         ds = generate_dataset(
-            GraphonSpec(kind="constant", n=n, p=p, feature_dim=d, noise=1.0, seed=seed)
+            GraphonSpec(kind="constant", n=n, p=p, feature_dim=d, noise=1.0, seed=BENCH_SEED)
         )
         g, x = ds.graph, ds.features
         best = {"scores": math.inf, "homophily": math.inf, "select": math.inf}
@@ -456,22 +437,12 @@ def run_bench(
 
 
 def run_bench_dims(
-    dims,
-    m_target: int = 40_000,
-    gamma: float = 0.5,
-    avg_degree: float = 20.0,
-    repeats: int = 5,
-    seed: int = 0,
+    dims, m_target: int = 40_000, gamma: float = 0.5, repeats: int = 5
 ) -> list[BenchRow]:
     """Companion sweep: fixed edge count, growing feature dimension."""
     rows = []
     for d in dims:
-        rows.extend(
-            run_bench(
-                [m_target], d=d, gamma=gamma, avg_degree=avg_degree,
-                repeats=repeats, seed=seed,
-            )
-        )
+        rows.extend(run_bench([m_target], d=d, gamma=gamma, repeats=repeats))
     return rows
 
 

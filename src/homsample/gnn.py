@@ -32,14 +32,13 @@ ADAM_EPS = 1e-8
 class GnnConfig:
     """Architecture and training hyperparameters.
 
-    ``hidden`` gives the width of each of the ``layers - 1`` inner layers
-    (an int is broadcast); the output width is the class count, fixed at
-    training time.
+    ``hidden`` gives the width of each of the ``layers - 1`` inner layers;
+    the output width is the class count, fixed at training time.
     """
 
     layers: int = 2
     taps: int = 2
-    hidden: int | tuple[int, ...] = 64
+    hidden: int = 64
     shift: str = "gcn_norm"
     activation: str = "relu"
     epochs: int = 200
@@ -50,6 +49,8 @@ class GnnConfig:
     def __post_init__(self):
         if self.layers < 1 or self.taps < 1:
             raise ValueError("layers and taps must be at least 1")
+        if not isinstance(self.hidden, int) or self.hidden < 1:
+            raise ValueError(f"hidden must be an int >= 1, got {self.hidden!r}")
         if self.shift not in SHIFT_CHOICES:
             raise ValueError(f"shift must be one of {SHIFT_CHOICES}, got {self.shift!r}")
         if self.activation not in ACTIVATIONS:
@@ -57,14 +58,7 @@ class GnnConfig:
 
     def dims(self, d_in: int, n_classes: int) -> list[int]:
         """Consistent width chain d_in -> hidden... -> n_classes."""
-        hidden = self.hidden
-        if isinstance(hidden, int):
-            hidden = (hidden,) * (self.layers - 1)
-        if len(hidden) != self.layers - 1:
-            raise ValueError(
-                f"{self.layers}-layer model needs {self.layers - 1} hidden dims, got {len(hidden)}"
-            )
-        return [d_in, *hidden, n_classes]
+        return [d_in, *[self.hidden] * (self.layers - 1), n_classes]
 
 
 @dataclass

@@ -255,9 +255,9 @@ def parse_graphon_spec(text: str) -> GraphonSpec:
         try:
             if key == "n":
                 kw["n"] = int(val)
-            elif key in ("d", "dim"):
+            elif key == "d":
                 kw["feature_dim"] = int(val)
-            elif key in ("tau", "noise"):
+            elif key == "tau":
                 kw["noise"] = float(val)
             elif key == "seed":
                 kw["seed"] = int(val)

@@ -17,14 +17,11 @@ from .features import as_feature_matrix, node_scores, normalize_features
 from .graph import Graph, NodeIndexSet, induced_subgraph, node_index_set
 
 METHODS = ("homophily", "random", "degree_greedy")
-_ALIASES = {"homophily_heuristic": "homophily"}
 
 
-def canonical_method(name: str) -> str:
-    m = _ALIASES.get(name, name)
-    if m not in METHODS:
+def check_method(name: str) -> None:
+    if name not in METHODS:
         raise ValueError(f"unknown sampling method {name!r}; expected one of {METHODS}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class SampleSpec:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        object.__setattr__(self, "method", canonical_method(self.method))
+        check_method(self.method)
 
 
 @dataclass(frozen=True)

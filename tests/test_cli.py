@@ -331,13 +331,12 @@ def canonical_outputs(outdir):
     return {p.name: p.read_bytes() for p in paths}
 
 
-def test_experiment_workers_match_serial(tmp_path, monkeypatch):
+def test_experiment_workers_match_serial(tmp_path):
     args = [
         "experiment", "--synth", "blocks,n=50,intra=0.2,inter=0.05,d=4,tau=0.2,seed=5",
         "--rates", "0.5", "--methods", "random", "--reps", "6", "--metrics-only",
     ]
     assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("HOMSAMPLE_THREADS", "2")
     assert main(args + ["--workers", "4", "--out", str(tmp_path / "par")]) == 0
     serial = canonical_outputs(tmp_path / "serial")
     assert len(serial) == 6 + 1
@@ -386,13 +385,40 @@ def test_bench_trivial_run(capsys):
         assert float(line.rsplit("total=", 1)[1].rstrip("s")) > 0.0
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_bad_threads_env_is_usage_error(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("HOMSAMPLE_THREADS", value)
+@pytest.mark.parametrize("args", [
+    ["--rates", "abc"],
+    ["--rates", "0"],
+    ["--rates", "1.5"],
+    ["--rates", ","],
+    ["--rates", "0.5", "--workers", "0"],
+    ["--rates", "0.5", "--reps", "0"],
+    ["--rates", "0.5", "--graph", "g.txt"],  # --synth discards no file
+    ["--rates", "0.5", "--features", "x.csv"],
+    ["--rates", "0.5", "--labels", "y.csv"],
+])
+def test_experiment_usage_errors_exit_1(tmp_path, capsys, args):
+    out = tmp_path / "exp"
     rc = main([
         "experiment", "--synth", "blocks,n=30,intra=0.2,inter=0.05,d=2,tau=0.2,seed=5",
-        "--rates", "0.5", "--methods", "random", "--reps", "2", "--metrics-only",
-        "--out", str(tmp_path / "exp"),
+        "--methods", "random", "--metrics-only", *args, "--out", str(out),
     ])
     assert rc == 1
-    assert "HOMSAMPLE_THREADS" in capsys.readouterr().err
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--method", "random", "--gamma", "1.0"],
+    ["experiment", "--rates", "0.5", "--methods", "random", "--reps", "2", "--metrics-only"],
+])
+def test_non_finite_features_exit_2_before_any_output(tmp_path, capsys, command):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    (tmp_path / "x.csv").write_text("1.0\nnan\n3.0\ninf\n")
+    out = tmp_path / "out"
+    rc = main([
+        *command, "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"{tmp_path / 'x.csv'}: non-finite value in row 2" in capsys.readouterr().err
+    assert not out.exists()

@@ -39,7 +39,9 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(rates=(0.5,), methods=("mystery",))
     with pytest.raises(ValueError):
-        ExperimentPlan(rates=(0.5,), methods=("homophily", "homophily_heuristic"))
+        ExperimentPlan(rates=(0.5,), methods=("homophily", "homophily"))
+    with pytest.raises(ValueError, match="workers"):
+        ExperimentPlan(rates=(0.5,), workers=0)
 
 
 def test_subgraph_metrics_fields():
@@ -135,7 +137,6 @@ def test_blas_runs_on_one_thread_only_while_workers_run(monkeypatch):
     if funcs is None:
         pytest.skip("numpy has no OpenBLAS in its wheel libraries")
     set_threads, get_threads = funcs
-    monkeypatch.delenv("HOMSAMPLE_THREADS", raising=False)
     rng = np.random.default_rng(2)
     g = random_graph(rng, 40, 0.15)
     seen = []

@@ -166,10 +166,11 @@ def test_sigmoid_gradients_match_finite_differences():
 
 
 def test_config_dims_chain():
-    assert GnnConfig(layers=3, hidden=(16, 8)).dims(5, 2) == [5, 16, 8, 2]
+    assert GnnConfig(layers=3, hidden=16).dims(5, 2) == [5, 16, 16, 2]
     assert GnnConfig(layers=1).dims(7, 4) == [7, 4]
-    with pytest.raises(ValueError, match="hidden dims"):
-        GnnConfig(layers=3, hidden=(16,)).dims(5, 2)
+    for hidden in ((16, 8), 0):
+        with pytest.raises(ValueError, match="hidden"):
+            GnnConfig(hidden=hidden)
     with pytest.raises(ValueError):
         GnnConfig(layers=0)
     with pytest.raises(ValueError):

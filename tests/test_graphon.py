@@ -221,6 +221,13 @@ def test_parse_graphon_spec():
     assert spec.kind == "constant" and spec.p == 0.2
     spec = parse_graphon_spec("grid,n=20,grid=0.5:0.1:0.1:0.5")
     assert spec.grid.shape == (2, 2)
+    probs = parse_graphon_spec("blocks,n=40,probs=0.3:0.02:0.02:0.3,seed=2")
+    shorthand = parse_graphon_spec("blocks,n=40,intra=0.3,inter=0.02,seed=2")
+    assert np.array_equal(probs.block_probs, shorthand.block_probs)
+    assert np.array_equal(
+        hs.sample_graphon_graph(probs)[0].edge_array(),
+        hs.sample_graphon_graph(shorthand)[0].edge_array(),
+    )
     for bad in (
         "",
         "blocks,n=abc",
@@ -228,6 +235,8 @@ def test_parse_graphon_spec():
         "blocks,intra=0.1",
         "blocks,probs=0.1:0.2:0.3",
         "blocks,n",
+        "blocks,dim=4",
+        "blocks,noise=0.1",
     ):
         with pytest.raises(DataError):
             parse_graphon_spec(bad)

@@ -209,6 +209,8 @@ def test_report_invariant_and_errors(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         report_to_text(make_report(h_g=float("nan")))
     p = tmp_path / "r.json"
+    with pytest.raises(DataError, match="no such file"):
+        read_report(p)
     p.write_text("{not json")
     with pytest.raises(DataError, match="invalid report"):
         read_report(p)

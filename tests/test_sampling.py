@@ -204,7 +204,6 @@ def test_spec_validation():
         SampleSpec(gamma=1.5)
     with pytest.raises(ValueError):
         SampleSpec(gamma=0.5, method="spectral")
-    assert SampleSpec(gamma=0.5, method="homophily_heuristic").method == "homophily"
     with pytest.raises(ValueError, match="features"):
         hs.sample(path_graph(3), SampleSpec(gamma=0.5))
 
