@@ -18,14 +18,12 @@ from .features import (
 from .gnn import GnnConfig, GnnModel, conv_filterbank, evaluate, forward, shift_matrix, train
 from .graph import (
     Graph,
-    NodeIndexSet,
     adjusted_trace,
     build_graph,
     connected_components,
     induced_subgraph,
     laplacian_rank,
     laplacian_trace,
-    node_index_set,
 )
 from .graphon import GraphonSpec, generate_dataset, homophilic_features, sample_graphon_graph
 from .sampling import (

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UsageError
 from .experiments import (
-    Cell,
     ExperimentPlan,
     run_bench,
     run_bench_dims,
@@ -113,12 +112,14 @@ def _gnn_config(args) -> GnnConfig:
     )
 
 
-def _load_dataset(args, need_features=True):
+def _load_dataset(args, need_features=True, need_labels=False):
+    if need_features and not args.features:
+        raise DataError("this command requires --features")
+    if need_labels and not args.labels:
+        raise DataError("this command requires --labels")
     g = read_edge_list(args.graph)
     x = read_features_csv(args.features) if args.features else None
     y = read_labels_csv(args.labels) if args.labels else None
-    if need_features and x is None:
-        raise DataError("this command requires --features")
     if x is not None:
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
@@ -178,17 +179,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_train_eval(args) -> int:
-    g, x, y = _load_dataset(args)
-    plan = ExperimentPlan(
-        rates=(args.gamma,),
-        methods=(args.method,),
-        reps=1,
-        seed=args.seed,
-        gnn=_gnn_config(args),
-        dataset_id=Path(args.graph).stem,
+    g, x, y = _load_dataset(args, need_labels=True)
+    spec = SampleSpec(
+        gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    cell = Cell(rate_idx=0, method=args.method, rep=0, gamma=args.gamma, seed=args.seed)
-    report, _ = run_cell(cell, g, x, y, plan, use_raw_scores=args.use_raw_scores)
+    report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem)
     print(f"accuracy = {report.accuracy:.17g}")
     if args.out:
         write_report(report, args.out)
@@ -196,6 +191,7 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    methods = tuple(args.methods.split(","))
     if args.synth:
         if args.features or args.labels:
             raise UsageError("--synth generates its own features and labels")
@@ -203,11 +199,14 @@ def cmd_experiment(args) -> int:
         g, x, y = ds.graph, ds.features, ds.labels
         dataset_id = "synth"
     else:
-        g, x, y = _load_dataset(args, need_features=False)
+        train = not args.metrics_only
+        g, x, y = _load_dataset(
+            args, need_features=train or "homophily" in methods, need_labels=train
+        )
         dataset_id = Path(args.graph).stem
     plan = ExperimentPlan(
         rates=args.rates,
-        methods=tuple(args.methods.split(",")),
+        methods=methods,
         reps=args.reps,
         seed=args.seed,
         gnn=_gnn_config(args),

@@ -66,15 +66,15 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class Cell:
+    """One sweep cell: its rate's index, its repetition and what it samples."""
+
     rate_idx: int
-    method: str
     rep: int
-    gamma: float
-    seed: int
+    spec: SampleSpec
 
     @property
     def tag(self) -> str:
-        return f"r{self.rate_idx:02d}_{self.method}_rep{self.rep:03d}"
+        return f"r{self.rate_idx:02d}_{self.spec.method}_rep{self.rep:03d}"
 
 
 def _cell_seed(master: int, rate_idx: int, method_idx: int, rep: int) -> int:
@@ -88,15 +88,8 @@ def expand_cells(plan: ExperimentPlan) -> list[Cell]:
         for mi, method in enumerate(plan.methods):
             reps = plan.reps if method == "random" else 1
             for rep in range(reps):
-                cells.append(
-                    Cell(
-                        rate_idx=ri,
-                        method=method,
-                        rep=rep,
-                        gamma=rate,
-                        seed=_cell_seed(plan.seed, ri, mi, rep),
-                    )
-                )
+                seed = _cell_seed(plan.seed, ri, mi, rep)
+                cells.append(Cell(ri, rep, SampleSpec(gamma=rate, method=method, seed=seed)))
     return cells
 
 
@@ -130,25 +123,24 @@ def subgraph_metrics(sub: Graph, x: np.ndarray | None) -> dict:
 
 
 def run_cell(
-    cell: Cell,
+    spec: SampleSpec,
     g: Graph,
     x: np.ndarray | None,
     labels: np.ndarray | None,
-    plan: ExperimentPlan,
-    use_raw_scores: bool = False,
+    gnn: GnnConfig | None,
+    dataset_id: str,
     greedy: np.ndarray | None = None,
 ) -> tuple[MetricsReport, dict]:
-    """Execute one cell; returns (report, phase timings).
+    """Sample by ``spec``, measure the sample, and train when given ``gnn``.
 
-    Training (unless ``plan.metrics_only`` or labels/features are missing)
-    fits the GNN on the whole subsample and reports accuracy on the nodes it
-    did not keep, or on every node when it kept them all. ``greedy`` is the
-    sweep's shared degree-greedy deletion order (see ``sampling.sample``).
+    Returns (report, phase timings). With a ``gnn`` config (which then needs
+    ``x`` and ``labels``) the GNN, seeded with ``spec.seed``, is fit on the
+    whole subsample and the report carries its accuracy on the nodes the
+    sample did not keep, or on every node when it kept them all. ``greedy``
+    is the sweep's shared degree-greedy deletion order (see
+    ``sampling.sample``).
     """
     timings: dict[str, float] = {}
-    spec = SampleSpec(
-        gamma=cell.gamma, method=cell.method, seed=cell.seed, use_raw_scores=use_raw_scores
-    )
     t0 = time.perf_counter()
     result = sample(g, spec, x=x, labels=labels, greedy=greedy)
     timings["sample"] = time.perf_counter() - t0
@@ -158,32 +150,31 @@ def run_cell(
     timings["metrics"] = time.perf_counter() - t0
 
     accuracy = None
-    if not plan.metrics_only and labels is not None and x is not None:
+    if gnn is not None:
         t0 = time.perf_counter()
-        cfg = replace(plan.gnn, seed=cell.seed)
         n_classes = int(np.max(labels)) + 1
         model = train(
             result.subgraph,
             result.features,
             result.labels,
             np.ones(result.subgraph.n, dtype=bool),
-            cfg,
+            replace(gnn, seed=spec.seed),
             n_classes=n_classes,
         )
         timings["train"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         eval_mask = np.ones(g.n, dtype=bool)
-        eval_mask[result.kept.indices] = False
+        eval_mask[result.kept] = False
         if not eval_mask.any():  # gamma = 1 keeps everything
             eval_mask[:] = True
         accuracy = evaluate(model, g, x, labels, eval_mask)
         timings["eval"] = time.perf_counter() - t0
 
     report = MetricsReport(
-        dataset=plan.dataset_id,
-        method=cell.method,
-        gamma=cell.gamma,
-        seed=cell.seed,
+        dataset=dataset_id,
+        method=spec.method,
+        gamma=spec.gamma,
+        seed=spec.seed,
         accuracy=accuracy,
         **metrics,
     )
@@ -261,7 +252,7 @@ def summarize(plan: ExperimentPlan, outcomes: dict[Cell, MetricsReport | Excepti
     rows = []
     for ri, rate in enumerate(plan.rates):
         for method in plan.methods:
-            cells = [c for c in outcomes if c.rate_idx == ri and c.method == method]
+            cells = [c for c in outcomes if c.rate_idx == ri and c.spec.method == method]
             cells.sort(key=lambda c: c.rep)
             reports = [outcomes[c] for c in cells if isinstance(outcomes[c], MetricsReport)]
             errors = [
@@ -322,8 +313,12 @@ def run_experiment(
     degree-greedy deletion order is computed once, at the plan's largest
     budget, and every degree_greedy cell keeps the complement of its prefix;
     each such cell's timing sidecar records that one-off time as
-    ``greedy_order``, outside its ``sample`` phase.
+    ``greedy_order``, outside its ``sample`` phase. A plan that trains (not
+    ``metrics_only``) raises ValueError without ``x`` and ``labels``.
     """
+    if not plan.metrics_only and (x is None or labels is None):
+        raise ValueError("training needs features and labels; a metrics_only plan needs neither")
+    gnn = None if plan.metrics_only else plan.gnn
     cells = expand_cells(plan)
     outcomes: dict[Cell, MetricsReport | Exception] = {}
     timing_map: dict[Cell, dict] = {}
@@ -335,7 +330,7 @@ def run_experiment(
 
     def _run(cell: Cell):
         try:
-            return run_cell(cell, g, x, labels, plan, greedy=greedy)
+            return run_cell(cell.spec, g, x, labels, gnn, plan.dataset_id, greedy=greedy)
         except (ValueError, DataError, NumericalError) as exc:
             return exc
 
@@ -349,7 +344,7 @@ def run_experiment(
             outcomes[cell] = res
         else:
             outcomes[cell], timing_map[cell] = res
-            if cell.method == "degree_greedy":
+            if cell.spec.method == "degree_greedy":
                 timing_map[cell]["greedy_order"] = greedy_s
 
     rows = summarize(plan, outcomes)

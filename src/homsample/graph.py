@@ -7,7 +7,7 @@ undirected edge. Node ids are dense 0-based; isolated nodes are legitimate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,39 +49,6 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True)
-class NodeIndexSet:
-    """Sorted distinct node indices of a parent graph, with relabeling maps."""
-
-    indices: np.ndarray  # strictly increasing int64, values in [0, n_original)
-    n_original: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("node index set must be a nonempty 1-d sequence")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("node indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= self.n_original:
-            raise ValueError(
-                f"node indices must lie in [0, {self.n_original}), got "
-                f"range [{idx[0]}, {idx[-1]}]"
-            )
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.n_original, dtype=bool)
-        m[self.indices] = True
-        return m
-
-    def to_new(self, old_ids) -> np.ndarray:
-        """Map original node ids to subgraph ids (callers ensure membership)."""
-        return np.searchsorted(self.indices, np.asarray(old_ids, dtype=np.int64))
-
-
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array, flattened (as ``np.unique``).
 
@@ -92,12 +59,6 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     keep = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
-
-
-def node_index_set(ids, n: int) -> NodeIndexSet:
-    """Build a NodeIndexSet from arbitrary (possibly unsorted) unique ids."""
-    idx = _sorted_distinct(np.asarray(ids, dtype=np.int64))
-    return NodeIndexSet(indices=idx, n_original=int(n))
 
 
 def _csr_from_directed(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,21 +131,24 @@ def laplacian_rank(g: Graph) -> int:
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
-    """Node-induced subgraph on ``keep``, relabeled to 0..len(keep)-1.
+    """Node-induced subgraph on the node ids ``keep``, relabeled to 0..k-1 in id order.
 
-    An edge survives iff both endpoints are kept. ``keep`` may be a
-    NodeIndexSet or any sequence of distinct node ids.
+    An edge survives iff both endpoints are kept. Ids may come in any order
+    and a repeated id counts once; an empty ``keep`` or an id outside
+    [0, n) raises ValueError.
     """
-    ks = keep if isinstance(keep, NodeIndexSet) else node_index_set(keep, g.n)
-    if ks.n_original != g.n:
-        raise ValueError(f"keep set is over {ks.n_original} nodes, graph has {g.n}")
-    kmask = ks.mask()
+    ids = _sorted_distinct(np.asarray(keep, dtype=np.int64))
+    if ids.size == 0:
+        raise ValueError("keep set must hold at least one node id")
+    if ids[0] < 0 or ids[-1] >= g.n:
+        raise ValueError(f"node ids must lie in [0, {g.n}), got range [{ids[0]}, {ids[-1]}]")
+    kmask = np.zeros(g.n, dtype=bool)
+    kmask[ids] = True
     new_id = np.cumsum(kmask, dtype=np.int64) - 1
     emask = np.repeat(kmask, g.degrees())  # row kept ...
     emask &= kmask[g.indices]  # ... and column kept
     # relabeling is monotone, so CSR row/column order is preserved; the
     # subgraph is symmetric, so a row's entry count is its column count
     dst = new_id[g.indices[emask]]
-    nk = len(ks)
-    indptr, indices = _csr_from_directed(dst, dst, nk)
-    return _freeze(Graph(n=nk, m=indices.size // 2, indptr=indptr, indices=indices))
+    indptr, indices = _csr_from_directed(dst, dst, ids.size)
+    return _freeze(Graph(n=ids.size, m=indices.size // 2, indptr=indptr, indices=indices))

@@ -240,7 +240,7 @@ def write_sample(result: SampleResult, outdir) -> None:
     """Write kept ids (original), relabeled subgraph edges, id map, and data."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    kept = result.kept.indices
+    kept = result.kept
     with open(outdir / "kept.txt", "w") as fh:
         _write_rows(fh, "%d\n", kept)
     write_edge_list(result.subgraph, outdir / "edges.txt")

@@ -1,9 +1,10 @@
 """Node subsamplers: the homophily score heuristic plus two baselines.
 
 All samplers keep exactly n - floor((1 - gamma) * n) nodes and return the
-induced subgraph together with the kept rows of the raw features/labels.
-Restricted features are deliberately NOT re-standardized here; consumers
-(e.g. GNN training) normalize on the subsample themselves.
+kept ids (a sorted int64 array of original node ids), the induced subgraph
+and the kept rows of the raw features/labels. Restricted features are
+deliberately NOT re-standardized here; consumers (e.g. GNN training)
+normalize on the subsample themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .features import as_feature_matrix, node_scores, normalize_features
-from .graph import Graph, NodeIndexSet, induced_subgraph, node_index_set
+from .graph import Graph, induced_subgraph
 
 METHODS = ("homophily", "random", "degree_greedy")
 
@@ -41,7 +42,9 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class SampleResult:
-    kept: NodeIndexSet
+    """A sample: subgraph node i is parent node ``kept[i]``."""
+
+    kept: np.ndarray  # sorted distinct int64 ids of the parent graph
     subgraph: Graph
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
@@ -52,11 +55,11 @@ def deletion_budget(n: int, gamma: float) -> int:
     return int(np.floor((1.0 - gamma) * n))
 
 
-def _restrict(g: Graph, kept_ids: np.ndarray, x, labels) -> SampleResult:
-    kept = node_index_set(kept_ids, g.n)
+def _restrict(g: Graph, kept: np.ndarray, x, labels) -> SampleResult:
+    """The sample of the sorted distinct ids ``kept``."""
     sub = induced_subgraph(g, kept)
-    xr = None if x is None else np.asarray(x)[kept.indices]
-    yr = None if labels is None else np.asarray(labels)[kept.indices]
+    xr = None if x is None else np.asarray(x)[kept]
+    yr = None if labels is None else np.asarray(labels)[kept]
     return SampleResult(kept=kept, subgraph=sub, features=xr, labels=yr)
 
 

@@ -422,3 +422,23 @@ def test_non_finite_features_exit_2_before_any_output(tmp_path, capsys, command)
     assert rc == 2
     assert f"{tmp_path / 'x.csv'}: non-finite value in row 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--features", "x.csv", "--methods", "random"], "--labels"),  # training needs labels
+    (["--labels", "y.csv", "--methods", "random"], "--features"),  # ... and features
+    (["--metrics-only", "--methods", "homophily"], "--features"),  # the score sampler reads them
+])
+def test_experiment_missing_input_exits_2_before_any_output(tmp_path, capsys, args, flag):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "y.csv")
+    out = tmp_path / "out"
+    rc = main([
+        "experiment", "--graph", str(tmp_path / "g.txt"), "--rates", "0.5", "--reps", "2",
+        "--epochs", "2", *[str(tmp_path / a) if a.endswith(".csv") else a for a in args],
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"requires {flag}" in capsys.readouterr().err
+    assert not out.exists()

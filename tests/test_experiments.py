@@ -24,9 +24,9 @@ def test_expand_cells_grid_arithmetic():
     plan = ExperimentPlan(rates=(0.25, 0.5, 0.75), methods=("homophily", "random"), reps=50)
     cells = expand_cells(plan)
     assert len(cells) == 3 * (1 + 50)
-    assert len({c.seed for c in cells}) == len(cells)  # distinct derived seeds
+    assert len({c.spec.seed for c in cells}) == len(cells)  # distinct derived seeds
     again = expand_cells(plan)
-    assert [c.seed for c in again] == [c.seed for c in cells]
+    assert [c.spec.seed for c in again] == [c.spec.seed for c in cells]
 
 
 def test_plan_validation():
@@ -88,6 +88,16 @@ def test_train_eval_cells_populate_accuracy():
     )
     rows = run_experiment(plan, ds.graph, x=ds.features, labels=ds.labels)
     assert 0.0 <= rows[0]["accuracy_mean"] <= 1.0
+
+
+def test_training_plan_needs_features_and_labels():
+    ds = hs.generate_dataset(two_block_spec(n=40, intra=0.25, inter=0.02, feature_dim=4,
+                                            noise=0.2, seed=9))
+    plan = ExperimentPlan(rates=(0.5,), methods=("random",), reps=1,
+                          gnn=GnnConfig(epochs=2, hidden=4))
+    for x, labels in ((ds.features, None), (None, ds.labels), (None, None)):
+        with pytest.raises(ValueError, match="features and labels"):
+            run_experiment(plan, ds.graph, x=x, labels=labels)
 
 
 def test_bench_doubling_ratios_within_band():

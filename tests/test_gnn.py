@@ -363,7 +363,7 @@ def test_transfer_train_small_evaluate_large():
         n_classes=2,
     )
     mask = np.ones(ds.graph.n, dtype=bool)
-    mask[res.kept.indices] = False
+    mask[res.kept] = False
     acc = hs.evaluate(model, ds.graph, ds.features, ds.labels, mask)
     assert 0.0 <= acc <= 1.0
     assert acc >= 0.7  # well-separated blocks transfer comfortably

@@ -3,7 +3,6 @@ import pytest
 
 import homsample as hs
 from homsample.errors import DataError
-from homsample.graph import NodeIndexSet, node_index_set
 
 from util import complete_graph, dense_laplacian, path_graph, random_edge_pairs, random_graph
 
@@ -108,12 +107,17 @@ def test_induced_subgraph_matches_unique_rows_oracle():
     assert checked >= 20
 
 
-def test_node_index_set_matches_np_unique():
+def test_induced_subgraph_takes_unsorted_repeated_ids():
     rng = np.random.default_rng(12)
+    g = random_graph(rng, 50, 0.2)
+    a = g.adjacency_dense()
     for size in (1, 2, 17, 1000):
         ids = rng.integers(0, 50, size=size)
-        ks = node_index_set(ids, 50)
-        assert np.array_equal(ks.indices, np.unique(ids))
+        keep = np.unique(ids)
+        sub = hs.induced_subgraph(g, ids)
+        assert np.array_equal(sub.adjacency_dense(), a[np.ix_(keep, keep)])
+        ref = hs.induced_subgraph(g, keep)
+        assert np.array_equal(sub.indptr, ref.indptr) and np.array_equal(sub.indices, ref.indices)
 
 
 def test_build_errors():
@@ -212,9 +216,13 @@ def test_induced_subgraph_keep_all_is_identity():
 
 def test_induced_subgraph_rejects_bad_keep():
     g = path_graph(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one"):
         hs.induced_subgraph(g, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        hs.induced_subgraph(g, [2, -1])
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        hs.induced_subgraph(g, [0, 3])
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
         hs.induced_subgraph(g, [0, 7])
 
 
@@ -226,20 +234,6 @@ def test_trace_and_rank_invariants_sweep():
         assert hs.laplacian_trace(g) == 2.0 * g.m
         count, _ = hs.connected_components(g)
         assert hs.laplacian_rank(g) + count == g.n
-
-
-def test_node_index_set_validation():
-    with pytest.raises(ValueError):
-        NodeIndexSet(indices=np.array([2, 1]), n_original=5)
-    with pytest.raises(ValueError):
-        NodeIndexSet(indices=np.array([0, 0]), n_original=5)
-    with pytest.raises(ValueError):
-        NodeIndexSet(indices=np.array([0, 9]), n_original=5)
-    with pytest.raises(ValueError):
-        NodeIndexSet(indices=np.array([], dtype=np.int64), n_original=5)
-    ks = node_index_set([4, 1, 1], 6)  # builder sorts and dedups
-    assert ks.indices.tolist() == [1, 4]
-    assert ks.to_new([4]).tolist() == [1]
 
 
 def test_graph_arrays_are_readonly():

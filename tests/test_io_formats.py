@@ -386,7 +386,7 @@ def test_canonical_files_take_the_bulk_path(tmp_path, monkeypatch):
         monkeypatch.setattr(io_formats, name, no_line_reader)
     back = read_edge_list(tmp_path / "g.txt")
     assert np.array_equal(back.indices, g.indices) and back.n == g.n
-    assert np.array_equal(read_kept(tmp_path / "s" / "kept.txt"), res.kept.indices)
+    assert np.array_equal(read_kept(tmp_path / "s" / "kept.txt"), res.kept)
     assert np.array_equal(read_features_csv(tmp_path / "s" / "features.csv"), res.features)
     assert np.array_equal(read_labels_csv(tmp_path / "s" / "labels.csv"), res.labels)
 
@@ -416,7 +416,7 @@ def test_block_writers_match_per_value_formatting(tmp_path):
     y = rng.integers(0, 5, size=g.n)
     res = hs.sample_random(g, SampleSpec(gamma=0.6, method="random", seed=1), labels=y)
     write_sample(res, tmp_path / "s")
-    kept = res.kept.indices.tolist()
+    kept = res.kept.tolist()
     assert (tmp_path / "s" / "kept.txt").read_text() == _int_rows([[k] for k in kept])
     id_map = _int_rows(enumerate(kept))
     assert (tmp_path / "s" / "id_map.txt").read_text() == id_map

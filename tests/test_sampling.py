@@ -27,7 +27,7 @@ def test_hand_example_removes_two_largest_scores():
     g = path_graph(4)
     x = scores_to_features([5.0, 1.0, 3.0, 2.0])
     res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5, use_raw_scores=True))
-    assert res.kept.indices.tolist() == [1, 3]
+    assert res.kept.tolist() == [1, 3]
     assert res.subgraph.n == 2
 
 
@@ -52,7 +52,7 @@ def test_tie_break_matches_stable_sort_oracle():
         res = hs.sample_homophily(
             g, scores_to_features(scores), SampleSpec(gamma=gamma, use_raw_scores=True)
         )
-        assert res.kept.indices.tolist() == brute_force_kept(scores, gamma)
+        assert res.kept.tolist() == brute_force_kept(scores, gamma)
 
 
 def test_keep_count_exact_over_gamma_grid():
@@ -70,8 +70,8 @@ def test_feature_column_permutation_does_not_change_sample():
     g = random_graph(rng, 30, 0.2)
     x = rng.standard_normal((30, 6))
     spec = SampleSpec(gamma=0.5)
-    ref = hs.sample_homophily(g, x, spec).kept.indices
-    got = hs.sample_homophily(g, x[:, rng.permutation(6)], spec).kept.indices
+    ref = hs.sample_homophily(g, x, spec).kept
+    got = hs.sample_homophily(g, x[:, rng.permutation(6)], spec).kept
     assert np.array_equal(ref, got)
 
 
@@ -106,8 +106,8 @@ def test_raw_vs_normalized_scores_differ_when_columns_unbalanced():
     x = np.column_stack([np.arange(6.0) * 100.0, np.array([0, 5, 0, 0, 0, 0.1])])
     spec_norm = SampleSpec(gamma=0.5)
     spec_raw = SampleSpec(gamma=0.5, use_raw_scores=True)
-    kept_norm = hs.sample_homophily(g, x, spec_norm).kept.indices.tolist()
-    kept_raw = hs.sample_homophily(g, x, spec_raw).kept.indices.tolist()
+    kept_norm = hs.sample_homophily(g, x, spec_norm).kept.tolist()
+    kept_raw = hs.sample_homophily(g, x, spec_raw).kept.tolist()
     assert kept_raw != kept_norm
 
 
@@ -119,7 +119,7 @@ def test_kept_rows_minimize_restricted_correlation_trace():
         x = rng.standard_normal((n, 3))
         res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5))
         xh = normalize_reference(x)
-        kept_mass = float((xh[res.kept.indices] ** 2).sum())
+        kept_mass = float((xh[res.kept] ** 2).sum())
         k = len(res.kept)
         for subset in itertools.combinations(range(n), k):
             assert kept_mass <= float((xh[list(subset)] ** 2).sum()) + 1e-12
@@ -132,9 +132,9 @@ def test_random_sampler_determinism_and_gamma_one():
     assert len(full.kept) == 20
     a = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=42))
     b = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=42))
-    assert np.array_equal(a.kept.indices, b.kept.indices)
+    assert np.array_equal(a.kept, b.kept)
     c = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=43))
-    assert not np.array_equal(a.kept.indices, c.kept.indices)
+    assert not np.array_equal(a.kept, c.kept)
 
 
 def test_random_sampler_uniform_keep_frequency():
@@ -143,7 +143,7 @@ def test_random_sampler_uniform_keep_frequency():
     draws = 10_000
     for seed in range(draws):
         res = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=seed))
-        counts[res.kept.indices] += 1
+        counts[res.kept] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.5) <= 0.02)
 
@@ -151,11 +151,11 @@ def test_random_sampler_uniform_keep_frequency():
 def test_degree_greedy_star_and_path():
     star = hs.build_graph([(0, 1), (0, 2), (0, 3)])
     res = hs.sample_degree_greedy(star, SampleSpec(gamma=0.5, method="degree_greedy"))
-    assert res.kept.indices.tolist() == [0, 3]  # leaves 1, 2 removed first on ties
+    assert res.kept.tolist() == [0, 3]  # leaves 1, 2 removed first on ties
     assert hs.laplacian_trace(res.subgraph) == 2.0
     p3 = path_graph(3)
     res = hs.sample_degree_greedy(p3, SampleSpec(gamma=2 / 3, method="degree_greedy"))
-    assert res.kept.indices.tolist() == [1, 2]
+    assert res.kept.tolist() == [1, 2]
     assert res.subgraph.m == 1
 
 
@@ -173,7 +173,7 @@ def test_degree_greedy_matches_brute_force_resimulation():
             deg = a[np.ix_(alive, alive)].sum(axis=1)
             victim = int(np.flatnonzero(alive)[int(np.argmin(deg))])
             alive[victim] = False
-        assert res.kept.indices.tolist() == np.flatnonzero(alive).tolist()
+        assert res.kept.tolist() == np.flatnonzero(alive).tolist()
 
 
 def test_degree_greedy_shared_order_gives_the_same_sample():
@@ -186,7 +186,7 @@ def test_degree_greedy_shared_order_gives_the_same_sample():
         spec = SampleSpec(gamma=gamma, method="degree_greedy")
         own = hs.sample_degree_greedy(g, spec)
         shared = hs.sample(g, spec, greedy=order)
-        assert shared.kept.indices.tolist() == own.kept.indices.tolist()
+        assert shared.kept.tolist() == own.kept.tolist()
         assert np.array_equal(shared.subgraph.indices, own.subgraph.indices)
     short = sampling.greedy_order(g, (0.9,))
     with pytest.raises(ValueError, match="greedy order holds"):
@@ -214,5 +214,5 @@ def test_labels_restricted_alongside_features():
     x = rng.standard_normal((12, 2))
     y = rng.integers(0, 3, size=12)
     res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5), labels=y)
-    assert np.array_equal(res.labels, y[res.kept.indices])
-    assert np.array_equal(res.features, x[res.kept.indices])
+    assert np.array_equal(res.labels, y[res.kept])
+    assert np.array_equal(res.features, x[res.kept])
