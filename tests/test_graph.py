@@ -216,8 +216,16 @@ def test_induced_subgraph_keep_all_is_identity():
 
 def test_induced_subgraph_rejects_bad_keep():
     g = path_graph(3)
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError):
         hs.induced_subgraph(g, [])
+    with pytest.raises(ValueError):
+        hs.induced_subgraph(g, [0, 7])
+
+
+def test_induced_subgraph_rejects_bad_ids():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="at least one"):
+        hs.induced_subgraph(g, np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
         hs.induced_subgraph(g, [2, -1])
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
