@@ -56,6 +56,13 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _finite_nonnegative(text: str) -> float:
+    v = float(text)
+    if not (np.isfinite(v) and v >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return v
+
+
 def _gamma(text: str) -> float:
     v = float(text)
     if not 0.0 < v <= 1.0:
@@ -91,8 +98,8 @@ def _add_data_args(p, labels_required=False, features_required=True):
 
 def _add_gnn_args(p):
     p.add_argument("--epochs", type=_positive_int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    p.add_argument("--lr", type=_finite_nonnegative, default=1e-3)
+    p.add_argument("--weight-decay", type=_finite_nonnegative, default=1e-4)
     p.add_argument("--layers", type=_positive_int, default=2)
     p.add_argument("--hidden", type=_positive_int, default=64)
     p.add_argument("--taps", type=_positive_int, default=2)

@@ -1,12 +1,25 @@
 """Desk-scale graph convolutional network with seeded full-batch training.
 
 Each layer applies a polynomial filterbank in the graph shift operator,
-sum_k S^k X H_k, followed by an entry-wise activation (last layer emits raw
-logits). One tap sum over iterated shifts computes every filterbank:
-``conv_filterbank`` (S a sparse or dense matrix), each forward layer, and
-the backward sum_k S^k G H_k^T. Gradients are computed by hand; the
-optimizer is Adam with decoupled weight decay. Everything is float64 numpy
-and deterministic for a fixed seed.
+sum_k S^k Z H_k, followed by an entry-wise activation (the last layer emits
+raw logits). A layer's K tap matrices are stacked into one, so each
+filterbank is one matrix product plus shifts of the narrower side:
+
+- layer 0 stacks its taps by rows, (K d_in x d_out), and computes
+  [X | SX | ... | S^(K-1) X] @ W_0; training shifts the features once per
+  run;
+- each later layer stacks its taps by columns, (d_in x K d_out): one
+  product Y = Z @ W gives every Z H_k, and Horner's rule over its column
+  blocks, a = S a + Y_k, shifts n x d_out instead of n x d_in.
+  ``conv_filterbank`` is this path for a single filterbank.
+
+Gradients are computed by hand. Past the output layer the gradient g is
+shifted once, G = [g | Sg | ...]; with S symmetric, Z^T G is the stacked
+tap gradient and G @ W^T the layer-input gradient. Training keeps the
+stacked matrices as views into one flat parameter vector, so Adam with
+decoupled weight decay is a few whole-vector operations; ``GnnModel``
+holds the per-tap matrices. Everything is float64 numpy and deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -55,6 +68,12 @@ class GnnConfig:
             raise ValueError(f"shift must be one of {SHIFT_CHOICES}, got {self.shift!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs!r}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def dims(self, d_in: int, n_classes: int) -> list[int]:
         """Consistent width chain d_in -> hidden... -> n_classes."""
@@ -94,15 +113,15 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
 
 
 def conv_filterbank(s, x, taps) -> np.ndarray:
-    """sum_k S^k X H_k for a sparse or dense matrix S, by iterated shifts (never S^k)."""
+    """sum_k S^k X H_k for a sparse or dense matrix S, by Horner's rule (never S^k)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != s.shape[0]:
         raise ValueError(f"signal shape {x.shape} does not match operator {s.shape}")
     d = x.shape[1]
     for h in taps:
-        if h.shape[0] != d:
-            raise ValueError(f"tap shape {h.shape} does not match signal width {d}")
-    return _tap_sum(_shift_powers(s, x, len(taps)), taps)
+        if h.shape != (d, taps[0].shape[1]):
+            raise ValueError(f"tap shape {h.shape} does not match signal width {d} or the first tap")
+    return _horner(s, x @ np.hstack(taps), len(taps))
 
 
 def _activate(a: np.ndarray, kind: str) -> np.ndarray:
@@ -111,39 +130,59 @@ def _activate(a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-a))
 
 
-def _shift_powers(s, z, count: int) -> list[np.ndarray]:
-    """[z, S z, ..., S^(count-1) z] by iterated shifts."""
-    powers = [z]
-    for _ in range(count - 1):
-        powers.append(s @ powers[-1])
-    return powers
+def _shift_stack(s, z, count: int) -> np.ndarray:
+    """[z | S z | ... | S^(count-1) z] as one (n, count * width) array, by iterated shifts."""
+    if count == 1:
+        return z
+    n, d = z.shape
+    out = np.empty((n, count * d))
+    out[:, :d] = z
+    for k in range(1, count):
+        z = s @ z
+        out[:, k * d : (k + 1) * d] = z
+    return out
 
 
-def _tap_sum(powers, taps) -> np.ndarray:
-    """sum_k powers[k] @ taps[k], accumulated in place in tap order."""
-    y = powers[0] @ taps[0]
-    for k in range(1, len(taps)):
-        y += powers[k] @ taps[k]
-    return y
+def _horner(s, y, taps: int) -> np.ndarray:
+    """sum_k S^k Y_k over the ``taps`` column blocks Y_k of y: a = Y_(K-1), then a = S a + Y_k."""
+    d = y.shape[1] // taps
+    a = y[:, (taps - 1) * d :]
+    for k in range(taps - 2, -1, -1):
+        a = s @ a
+        a += y[:, k * d : (k + 1) * d]
+    return a
 
 
-def _forward_cached(weights, s, x_powers, activation):
-    """Forward pass keeping the per-layer shifted inputs for backprop.
+def _stack(taps, layer: int) -> np.ndarray:
+    """A layer's tap matrices as one: stacked by rows at layer 0, by columns after it."""
+    return np.vstack(taps) if layer == 0 else np.hstack(taps)
 
-    ``x_powers`` are the first layer's shifted inputs (``_shift_powers`` of
-    the features). Returns (logits, caches); caches[l] = (powers, pre_act)
-    where powers[k] holds S^k applied to the layer input.
+
+def _unstack(w, layer: int, taps: int) -> list[np.ndarray]:
+    """The per-tap matrices of a stacked layer, as independent arrays."""
+    return [h.copy() for h in np.split(w, taps, axis=0 if layer == 0 else 1)]
+
+
+def _views(flat, shapes) -> list[np.ndarray]:
+    """Consecutive 2-d views of one flat vector, one per shape."""
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(flat[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return views
+
+
+def _forward(weights, s, xs, cfg) -> list[np.ndarray]:
+    """Every layer's input, then the logits: [xs, z_1, ..., z_(L-1), logits].
+
+    ``weights`` are the stacked tap matrices (``_stack``) and ``xs`` the
+    first layer's shifted inputs (``_shift_stack`` of the features).
     """
-    caches = []
-    n_layers = len(weights)
-    powers = x_powers
-    for l, taps in enumerate(weights):
-        if l > 0:
-            powers = _shift_powers(s, z, len(taps))
-        a = _tap_sum(powers, taps)
-        caches.append((powers, a))
-        z = _activate(a, activation) if l < n_layers - 1 else a
-    return z, caches
+    zs = [xs]
+    for l, w in enumerate(weights):
+        a = xs @ w if l == 0 else _horner(s, zs[-1] @ w, cfg.taps)
+        zs.append(a if l == len(weights) - 1 else _activate(a, cfg.activation))
+    return zs
 
 
 def forward(model: GnnModel, g: Graph, x) -> np.ndarray:
@@ -156,9 +195,8 @@ def forward(model: GnnModel, g: Graph, x) -> np.ndarray:
         raise ValueError(
             f"features have width {x.shape[1]}, model expects {model.weights[0][0].shape[0]}"
         )
-    taps = len(model.weights[0])
-    logits, _ = _forward_cached(model.weights, s, _shift_powers(s, x, taps), model.config.activation)
-    return logits
+    weights = [_stack(taps, l) for l, taps in enumerate(model.weights)]
+    return _forward(weights, s, _shift_stack(s, x, model.config.taps), model.config)[-1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -167,38 +205,36 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_and_grads(weights, s, x_powers, labels, mask, activation):
-    """Masked cross-entropy loss and its gradients w.r.t. every tap matrix.
+def loss_and_grads(weights, grads, s, xs, idx, y, cfg) -> float:
+    """Cross-entropy loss over the nodes ``idx`` with labels ``y``.
 
-    ``x_powers`` is ``[x, S x, ..., S^(K-1) x]`` (``_shift_powers``) for the
-    first layer's K taps; training computes it once for all epochs.
+    Writes the loss's gradient w.r.t. each stacked tap matrix of
+    ``weights`` (``_stack``) into the same-shaped array of ``grads``.
+    ``xs`` is the first layer's ``_shift_stack`` of the features; training
+    computes it, ``idx`` and ``y`` once for all epochs.
     """
-    logits, caches = _forward_cached(weights, s, x_powers, activation)
-    idx = np.flatnonzero(mask)
-    p = _softmax(logits)
-    loss = float(-np.mean(np.log(p[idx, labels[idx]] + 1e-300)))
+    zs = _forward(weights, s, xs, cfg)
+    p = _softmax(zs[-1])
+    loss = float(-np.mean(np.log(p[idx, y] + 1e-300)))
 
-    grad_out = np.zeros_like(logits)
-    grad_out[idx] = p[idx]
-    grad_out[idx, labels[idx]] -= 1.0
-    grad_out /= idx.size
-
-    grads = [None] * len(weights)
-    g_up = grad_out  # gradient w.r.t. the current layer's pre-activation
-    for l in range(len(weights) - 1, -1, -1):
-        powers, pre_act = caches[l]
-        if l < len(weights) - 1:
-            if activation == "relu":
-                g_up = g_up * (pre_act > 0.0)
-            else:
-                sig = _activate(pre_act, "sigmoid")
-                g_up = g_up * sig * (1.0 - sig)
-        grads[l] = [z.T @ g_up for z in powers]
-        if l > 0:
-            # d loss / d layer-input = sum_k S^k g_up H_k^T (S symmetric)
-            taps = weights[l]
-            g_up = _tap_sum(_shift_powers(s, g_up, len(taps)), [h.T for h in taps])
-    return loss, grads
+    g = np.zeros_like(p)  # gradient w.r.t. the current layer's pre-activation
+    g[idx] = p[idx]
+    g[idx, y] -= 1.0
+    g /= idx.size
+    last = len(weights) - 1
+    for l in range(last, -1, -1):
+        if l < last:  # through the activation, read off its output z
+            z = zs[l + 1]
+            g = g * (z > 0.0) if cfg.activation == "relu" else g * z * (1.0 - z)
+        if l == 0:
+            np.matmul(xs.T, g, out=grads[0])
+        else:
+            # G = [g | S g | ...]: Z^T G is every tap's gradient Z^T S^k g
+            # (S symmetric), G W^T the layer-input gradient sum_k S^k g H_k^T
+            shifted = _shift_stack(s, g, cfg.taps)
+            np.matmul(zs[l].T, shifted, out=grads[l])
+            g = shifted @ weights[l].T
+    return loss
 
 
 def init_weights(cfg: GnnConfig, d_in: int, n_classes: int) -> list[list[np.ndarray]]:
@@ -237,30 +273,35 @@ def train(g: Graph, x, labels, train_mask, cfg: GnnConfig, n_classes: int | None
 
     normalizer = normalize_features(x)
     s = shift_matrix(g, cfg.shift)
-    weights = init_weights(cfg, x.shape[1], n_classes)
-    xh_powers = _shift_powers(s, normalizer.values, cfg.taps)  # the features never change
+    init = [_stack(taps, l) for l, taps in enumerate(init_weights(cfg, x.shape[1], n_classes))]
+    shapes = [w.shape for w in init]
+    # every stacked tap matrix is a view into theta, every gradient one into grad
+    theta = np.concatenate([w.ravel() for w in init])
+    grad, m, v = np.zeros_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    weights, grads = _views(theta, shapes), _views(grad, shapes)
+    # the shifted features, the training nodes and their labels never change
+    xs = _shift_stack(s, normalizer.values, cfg.taps)
+    idx = np.flatnonzero(mask)
+    y = labels[idx]
 
-    m_t = [[np.zeros_like(h) for h in taps] for taps in weights]
-    v_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(weights, s, xh_powers, labels, mask, cfg.activation)
+        loss = loss_and_grads(weights, grads, s, xs, idx, y, cfg)
         if not np.isfinite(loss):
             raise NumericalError(f"diverged: non-finite loss at epoch {epoch}")
         history[epoch] = loss
         t = epoch + 1
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
-        for l in range(len(weights)):
-            for k in range(len(weights[l])):
-                grad = grads[l][k]
-                m_t[l][k] = ADAM_BETA1 * m_t[l][k] + (1.0 - ADAM_BETA1) * grad
-                v_t[l][k] = ADAM_BETA2 * v_t[l][k] + (1.0 - ADAM_BETA2) * grad * grad
-                step = (m_t[l][k] / bc1) / (np.sqrt(v_t[l][k] / bc2) + ADAM_EPS)
-                # decoupled weight decay, applied outside the adaptive step
-                weights[l][k] = weights[l][k] - cfg.lr * (step + cfg.weight_decay * weights[l][k])
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        step += cfg.weight_decay * theta  # decoupled weight decay, outside the adaptive step
+        theta -= cfg.lr * step
     return GnnModel(
-        weights=weights,
+        weights=[_unstack(w, l, cfg.taps) for l, w in enumerate(weights)],
         config=cfg,
         n_classes=n_classes,
         normalizer=normalizer,

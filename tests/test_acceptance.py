@@ -11,7 +11,15 @@ import numpy as np
 import homsample as hs
 from homsample.cli import main
 from homsample.experiments import loglog_slope, run_bench, run_bench_dims
-from homsample.gnn import GnnConfig, GnnModel, _shift_powers, init_weights, loss_and_grads, shift_matrix
+from homsample.gnn import (
+    GnnConfig,
+    GnnModel,
+    _shift_stack,
+    _stack,
+    init_weights,
+    loss_and_grads,
+    shift_matrix,
+)
 from homsample.graphon import GraphonSpec, two_block_spec
 from homsample.sampling import SampleSpec, deletion_budget
 
@@ -172,28 +180,30 @@ def test_gradient_correctness():
     labels = rng.integers(0, 3, size=n)
     mask = np.ones(n, dtype=bool)
     cfg = GnnConfig(layers=2, taps=2, hidden=8, seed=0)
-    w = init_weights(cfg, 5, 3)
+    w = [_stack(taps, l) for l, taps in enumerate(init_weights(cfg, 5, 3))]
     s = shift_matrix(g, cfg.shift)
-    xp = _shift_powers(s, x, cfg.taps)
-    _, grads = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
+    xs = _shift_stack(s, x, cfg.taps)
+    idx = np.flatnonzero(mask)
+    grads = [np.empty_like(h) for h in w]
+    scratch = [np.empty_like(h) for h in w]
+    loss_and_grads(w, grads, s, xs, idx, labels[idx], cfg)
     step = 1e-5
     worst = 0.0
     entries = 0
     for l in range(len(w)):
-        for k in range(len(w[l])):
-            for idx in np.ndindex(w[l][k].shape):
-                orig = w[l][k][idx]
-                w[l][k][idx] = orig + step
-                lp, _ = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
-                w[l][k][idx] = orig - step
-                lm, _ = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
-                w[l][k][idx] = orig
-                fd = (lp - lm) / (2 * step)
-                an = grads[l][k][idx]
-                rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-                assert rel <= 1e-4
-                worst = max(worst, rel)
-                entries += 1
+        for i in np.ndindex(w[l].shape):
+            orig = w[l][i]
+            w[l][i] = orig + step
+            lp = loss_and_grads(w, scratch, s, xs, idx, labels[idx], cfg)
+            w[l][i] = orig - step
+            lm = loss_and_grads(w, scratch, s, xs, idx, labels[idx], cfg)
+            w[l][i] = orig
+            fd = (lp - lm) / (2 * step)
+            an = grads[l][i]
+            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+            assert rel <= 1e-4
+            worst = max(worst, rel)
+            entries += 1
     _passline("gradient-correctness", f"{entries} weight entries, max rel err = {worst:.3e}")
 
 

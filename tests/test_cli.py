@@ -231,6 +231,22 @@ def test_experiment_diverging_cells_are_recorded_not_fatal(tmp_path):
     assert len(list((tmp_path / "metrics").glob("report__*.json"))) == 2 * (1 + 2)
 
 
+@pytest.mark.parametrize("command", ["experiment", "train-eval"])
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.5"), ("--weight-decay", "nan"), ("--weight-decay", "-1e-4"),
+])
+def test_bad_training_settings_are_usage_errors(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    if command == "experiment":
+        args = ["--synth", "blocks,n=30,intra=0.2,inter=0.05,d=2,tau=0.2,seed=5", "--rates", "0.5"]
+    else:
+        args = ["--graph", "g.txt", "--features", "x.csv", "--labels", "y.csv", "--gamma", "0.5"]
+    assert main([command, *args, f"{flag}={value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists()
+
+
 def test_experiment_grid_file_count(tmp_path, capsys):
     out = tmp_path / "exp"
     rc = main([

@@ -4,10 +4,16 @@ import scipy.sparse as sp
 
 import homsample as hs
 from homsample.errors import NumericalError
+from homsample.features import normalize_features
 from homsample.gnn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GnnConfig,
     GnnModel,
-    _shift_powers,
+    _shift_stack,
+    _stack,
+    _unstack,
     init_weights,
     loss_and_grads,
     shift_matrix,
@@ -111,6 +117,13 @@ def test_no_information_flow_across_components():
     assert not np.array_equal(l1[6:], l2[6:])
 
 
+def stacked_problem(cfg, s, x, labels, mask, n_classes):
+    """Stacked init weights, gradient arrays and the epoch invariants loss_and_grads takes."""
+    w = [_stack(taps, l) for l, taps in enumerate(init_weights(cfg, x.shape[1], n_classes))]
+    idx = np.flatnonzero(mask)
+    return w, [np.empty_like(h) for h in w], _shift_stack(s, x, cfg.taps), idx, labels[idx]
+
+
 @pytest.mark.parametrize("layers, taps", [(2, 2), (3, 3)])
 def test_gradients_match_finite_differences(layers, taps):
     rng = np.random.default_rng(8)
@@ -120,23 +133,22 @@ def test_gradients_match_finite_differences(layers, taps):
     labels = rng.integers(0, 3, size=n)
     mask = np.ones(n, dtype=bool)
     cfg = GnnConfig(layers=layers, taps=taps, hidden=8, seed=0)
-    w = init_weights(cfg, 5, 3)
     s = shift_matrix(g, cfg.shift)
-    xp = _shift_powers(s, x, cfg.taps)
-    _, grads = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
+    w, grads, xs, idx, y = stacked_problem(cfg, s, x, labels, mask, 3)
+    loss_and_grads(w, grads, s, xs, idx, y, cfg)
+    scratch = [np.empty_like(h) for h in w]
     h = 1e-5
     for l in range(len(w)):
-        for k in range(len(w[l])):
-            for idx in np.ndindex(w[l][k].shape):
-                orig = w[l][k][idx]
-                w[l][k][idx] = orig + h
-                lp, _ = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
-                w[l][k][idx] = orig - h
-                lm, _ = loss_and_grads(w, s, xp, labels, mask, cfg.activation)
-                w[l][k][idx] = orig
-                fd = (lp - lm) / (2 * h)
-                an = grads[l][k][idx]
-                assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
+        for i in np.ndindex(w[l].shape):
+            orig = w[l][i]
+            w[l][i] = orig + h
+            lp = loss_and_grads(w, scratch, s, xs, idx, y, cfg)
+            w[l][i] = orig - h
+            lm = loss_and_grads(w, scratch, s, xs, idx, y, cfg)
+            w[l][i] = orig
+            fd = (lp - lm) / (2 * h)
+            an = grads[l][i]
+            assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
 
 def test_sigmoid_gradients_match_finite_differences():
@@ -147,22 +159,21 @@ def test_sigmoid_gradients_match_finite_differences():
     labels = rng.integers(0, 2, size=n)
     mask = np.ones(n, dtype=bool)
     cfg = GnnConfig(layers=2, taps=2, hidden=4, activation="sigmoid", seed=0)
-    w = init_weights(cfg, 3, 2)
     s = shift_matrix(g, cfg.shift)
-    xp = _shift_powers(s, x, cfg.taps)
-    _, grads = loss_and_grads(w, s, xp, labels, mask, "sigmoid")
+    w, grads, xs, idx, y = stacked_problem(cfg, s, x, labels, mask, 2)
+    loss_and_grads(w, grads, s, xs, idx, y, cfg)
+    scratch = [np.empty_like(h) for h in w]
     h = 1e-5
     for l in range(2):
-        for k in range(2):
-            for idx in np.ndindex(w[l][k].shape):
-                orig = w[l][k][idx]
-                w[l][k][idx] = orig + h
-                lp, _ = loss_and_grads(w, s, xp, labels, mask, "sigmoid")
-                w[l][k][idx] = orig - h
-                lm, _ = loss_and_grads(w, s, xp, labels, mask, "sigmoid")
-                w[l][k][idx] = orig
-                fd = (lp - lm) / (2 * h)
-                assert abs(fd - grads[l][k][idx]) <= 1e-4 * max(abs(fd), abs(grads[l][k][idx]), 1e-8)
+        for i in np.ndindex(w[l].shape):
+            orig = w[l][i]
+            w[l][i] = orig + h
+            lp = loss_and_grads(w, scratch, s, xs, idx, y, cfg)
+            w[l][i] = orig - h
+            lm = loss_and_grads(w, scratch, s, xs, idx, y, cfg)
+            w[l][i] = orig
+            fd = (lp - lm) / (2 * h)
+            assert abs(fd - grads[l][i]) <= 1e-4 * max(abs(fd), abs(grads[l][i]), 1e-8)
 
 
 def test_config_dims_chain():
@@ -177,6 +188,108 @@ def test_config_dims_chain():
         GnnConfig(shift="fourier")
     with pytest.raises(ValueError):
         GnnConfig(activation="tanh")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", -1),
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.5),
+    ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-4),
+])
+def test_config_rejects_bad_training_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        GnnConfig(**{field: value})
+
+
+def dense_filterbank(s_dense, z, taps):
+    """sum_k S^k Z H_k from explicit dense powers of S."""
+    return sum(np.linalg.matrix_power(s_dense, k) @ z @ h for k, h in enumerate(taps))
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("taps", [1, 2, 3])
+def test_forward_and_filterbank_match_dense_powers(taps, layers, activation):
+    rng = np.random.default_rng(100 + 10 * taps + layers)
+    n = 25
+    g = random_graph(rng, n, 0.2)
+    x = rng.standard_normal((n, 6))
+    model = make_model(taps, 6, 3, layers=layers, taps=taps, hidden=4, activation=activation)
+    s = shift_matrix(g, model.config.shift)
+    s_dense = s.toarray()
+    z = x
+    for l, layer_taps in enumerate(model.weights):
+        a = dense_filterbank(s_dense, z, layer_taps)
+        for op in (s, s_dense):
+            assert np.allclose(hs.conv_filterbank(op, z, layer_taps), a, rtol=0, atol=1e-12)
+        if l < layers - 1:
+            z = np.maximum(a, 0.0) if activation == "relu" else 1.0 / (1.0 + np.exp(-a))
+        else:
+            z = a
+    assert np.allclose(hs.forward(model, g, x), z, rtol=0, atol=1e-12)
+
+
+def reference_adam_train(g, x, labels, cfg, n_classes):
+    """train() spelled out with per-tap Adam steps, driven by loss_and_grads' gradients."""
+    s = shift_matrix(g, cfg.shift)
+    xs = _shift_stack(s, normalize_features(x).values, cfg.taps)
+    idx = np.arange(g.n)
+    weights = init_weights(cfg, x.shape[1], n_classes)
+    m_t = [[np.zeros_like(h) for h in taps] for taps in weights]
+    v_t = [[np.zeros_like(h) for h in taps] for taps in weights]
+    history = []
+    for epoch in range(cfg.epochs):
+        stacked = [_stack(taps, l) for l, taps in enumerate(weights)]
+        grads = [np.empty_like(w) for w in stacked]
+        history.append(loss_and_grads(stacked, grads, s, xs, idx, labels[idx], cfg))
+        grads = [_unstack(gw, l, cfg.taps) for l, gw in enumerate(grads)]
+        t = epoch + 1
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
+        for l in range(len(weights)):
+            for k in range(len(weights[l])):
+                grad = grads[l][k]
+                m_t[l][k] = ADAM_BETA1 * m_t[l][k] + (1.0 - ADAM_BETA1) * grad
+                v_t[l][k] = ADAM_BETA2 * v_t[l][k] + (1.0 - ADAM_BETA2) * grad * grad
+                step = (m_t[l][k] / bc1) / (np.sqrt(v_t[l][k] / bc2) + ADAM_EPS)
+                weights[l][k] = weights[l][k] - cfg.lr * (step + cfg.weight_decay * weights[l][k])
+    return weights, np.array(history)
+
+
+@pytest.mark.parametrize("layers, taps, activation", [(1, 1, "relu"), (2, 2, "sigmoid"), (3, 3, "relu")])
+def test_flat_adam_equals_per_tap_adam_bit_for_bit(layers, taps, activation):
+    rng = np.random.default_rng(18)
+    n = 30
+    g = random_graph(rng, n, 0.2)
+    x = rng.standard_normal((n, 5))
+    labels = rng.integers(0, 3, size=n)
+    cfg = GnnConfig(
+        layers=layers, taps=taps, hidden=6, activation=activation, epochs=20, lr=0.01,
+        weight_decay=1e-3, seed=2,
+    )
+    model = hs.train(g, x, labels, np.ones(n, dtype=bool), cfg, n_classes=3)
+    ref_weights, ref_history = reference_adam_train(g, x, labels, cfg, 3)
+    assert np.array_equal(model.loss_history, ref_history)
+    for got, ref in zip(model.weights, ref_weights):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
+
+
+def test_trained_weights_are_independent_arrays_of_documented_shapes():
+    rng = np.random.default_rng(19)
+    g = random_graph(rng, 20, 0.2)
+    x = rng.standard_normal((20, 5))
+    labels = rng.integers(0, 3, size=20)
+    cfg = GnnConfig(layers=3, taps=3, hidden=4, epochs=3, seed=1)
+    model = hs.train(g, x, labels, np.ones(20, dtype=bool), cfg)
+    dims = cfg.dims(5, 3)
+    flat = [h for taps in model.weights for h in taps]
+    assert [len(taps) for taps in model.weights] == [3, 3, 3]
+    for l, taps in enumerate(model.weights):
+        assert all(h.shape == (dims[l], dims[l + 1]) and h.flags.c_contiguous for h in taps)
+    for i, a in enumerate(flat):
+        assert all(not np.shares_memory(a, b) for b in flat[i + 1:])
+    before = [h.copy() for h in flat]
+    flat[0][...] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(flat[1:], before[1:]))
 
 
 def test_shift_matrix_kinds():
