@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalError, FloatingPointError) as exc:
         print(f"homsample: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except BrokenExecutor as exc:  # an experiment worker process died
+        print(f"homsample: worker failure: {exc}", file=sys.stderr)
         return 3
 
 

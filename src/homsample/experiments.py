@@ -13,7 +13,6 @@ from __future__ import annotations
 import ctypes
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -206,11 +205,13 @@ def _openblas_thread_funcs():
 def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread inside the block, then restore its count.
 
-    Worker threads that each start BLAS threads oversubscribe the cores: on
-    2 vCPUs, a 30-cell training sweep (n = 2000, d = 16) at two workers took
-    14.4 s with BLAS threads and 7.1 s without. Serial runs keep them: a
-    one-worker sweep on d = 1433 features took 27.5 s with them and 44.5 s
-    without. Without an OpenBLAS in numpy's wheel libraries this does nothing.
+    Workers that each start BLAS threads oversubscribe the cores: on 2 vCPUs,
+    a 30-cell training sweep (n = 2000, d = 16) on a pool of two threads, as
+    workers were then, took 14.4 s with BLAS threads and 7.1 s without.
+    Forked worker processes inherit the count set here before the fork.
+    Serial runs keep BLAS threads: a one-worker sweep on d = 1433 features
+    took 27.5 s with them and 44.5 s without. Without an OpenBLAS in numpy's
+    wheel libraries this does nothing.
     """
     funcs = _openblas_thread_funcs()
     if funcs is None:
@@ -297,6 +298,43 @@ def write_summary_csv(rows: list[dict], path) -> None:
             fh.write(",".join(_csv_cell(row.get(c)) for c in SUMMARY_COLUMNS) + "\n")
 
 
+# The running sweep's (cells, graph, features, labels, gnn, dataset id, greedy
+# order). Forked workers inherit it copy-on-write, so a task is a cell index.
+_SWEEP: tuple | None = None
+
+
+def _run_sweep_cell(i: int):
+    """Cell ``i`` of the running sweep: (report, timings), or the handled error."""
+    cells, g, x, labels, gnn, dataset_id, greedy = _SWEEP
+    try:
+        return run_cell(cells[i].spec, g, x, labels, gnn, dataset_id, greedy=greedy)
+    except (ValueError, DataError, NumericalError) as exc:
+        return exc
+
+
+def _run_forked(cells: list[Cell], workers: int) -> list:
+    """Run the sweep's cells in ``workers`` forked processes, results in cell order.
+
+    A worker process that dies raises BrokenProcessPool naming a cell that did
+    not finish.
+    """
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork")
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+        futures = [pool.submit(_run_sweep_cell, i) for i in range(len(cells))]
+        results = []
+        for cell, fut in zip(cells, futures):
+            try:
+                results.append(fut.result())
+            except BrokenProcessPool as exc:
+                raise BrokenProcessPool(
+                    f"a worker process died; cell {cell.tag} did not finish"
+                ) from exc
+    return results
+
+
 def run_experiment(
     plan: ExperimentPlan,
     g: Graph,
@@ -306,16 +344,19 @@ def run_experiment(
 ) -> list[dict]:
     """Run every cell of the plan, write reports and the summary, return rows.
 
-    Cells run independently (in a pool of ``plan.workers`` threads when
-    that is above 1); the summary is assembled in plan order after the
-    join, so outputs are reproducible regardless of worker count. With more
-    than one worker, BLAS runs on one thread while the pool runs. The
-    degree-greedy deletion order is computed once, at the plan's largest
-    budget, and every degree_greedy cell keeps the complement of its prefix;
-    each such cell's timing sidecar records that one-off time as
-    ``greedy_order``, outside its ``sample`` phase. A plan that trains (not
-    ``metrics_only``) raises ValueError without ``x`` and ``labels``.
+    Cells run independently (in ``plan.workers`` forked processes when that
+    is above 1, which inherit the inputs rather than receive copies); the
+    summary is assembled in plan order after the join, so outputs are
+    reproducible regardless of worker count. No worker outlives the call.
+    With more than one worker, BLAS runs on one thread while the pool runs,
+    and a worker process that dies raises BrokenProcessPool before anything
+    is written. The degree-greedy deletion order is computed once, at the
+    plan's largest budget, and every degree_greedy cell keeps the complement
+    of its prefix; each such cell's timing sidecar records that one-off time
+    as ``greedy_order``, outside its ``sample`` phase. A plan that trains
+    (not ``metrics_only``) raises ValueError without ``x`` and ``labels``.
     """
+    global _SWEEP
     if not plan.metrics_only and (x is None or labels is None):
         raise ValueError("training needs features and labels; a metrics_only plan needs neither")
     gnn = None if plan.metrics_only else plan.gnn
@@ -328,17 +369,14 @@ def run_experiment(
         greedy = greedy_order(g, plan.rates)
         greedy_s = time.perf_counter() - t0
 
-    def _run(cell: Cell):
-        try:
-            return run_cell(cell.spec, g, x, labels, gnn, plan.dataset_id, greedy=greedy)
-        except (ValueError, DataError, NumericalError) as exc:
-            return exc
-
-    if plan.workers > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(_run, cells))
-    else:
-        results = [_run(c) for c in cells]
+    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, greedy)
+    try:
+        if plan.workers > 1:
+            results = _run_forked(cells, plan.workers)
+        else:
+            results = [_run_sweep_cell(i) for i in range(len(cells))]
+    finally:
+        _SWEEP = None
     for cell, res in zip(cells, results):
         if isinstance(res, Exception):
             outcomes[cell] = res

@@ -200,9 +200,21 @@ def forward(model: GnnModel, g: Graph, x) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    if logits.shape[1] >= 8:
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    # Short rows column by column: numpy's row reductions cost more than the
+    # arithmetic here. Below 8 columns numpy's row sum adds left to right, so
+    # this is the same sum; from 8 on it keeps eight partial sums.
+    cols = logits.T
+    top = cols[0].copy()
+    for c in cols[1:]:
+        np.maximum(top, c, out=top)
+    e = np.exp(logits - top[:, None])
+    total = e[:, 0].copy()
+    for c in e.T[1:]:
+        total += c
+    return e / total[:, None]
 
 
 def loss_and_grads(weights, grads, s, xs, idx, y, cfg) -> float:

@@ -1,11 +1,17 @@
 import csv
 import json
+import multiprocessing
+import os
+import re
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import homsample as hs
+from homsample import experiments
 from homsample.cli import main
 from homsample.experiments import subgraph_metrics
 from homsample.io_formats import (
@@ -369,6 +375,36 @@ def test_experiment_workers_match_serial(tmp_path):
     assert len(serial) == 2 * (1 + 2 + 1) + 1
     assert b'"accuracy": null' not in b"".join(serial.values())
     assert canonical_outputs(tmp_path / "train2") == serial
+
+
+def test_experiment_dead_worker_exits_3_naming_a_cell(tmp_path, monkeypatch, capsys):
+    def die(*args, **kwargs):
+        os._exit(9)
+
+    def hung(signum, frame):
+        raise TimeoutError("experiment did not return after a worker died")
+
+    monkeypatch.setattr(experiments, "run_cell", die)  # forked workers inherit the patch
+    out = tmp_path / "out"
+    args = [
+        "experiment", "--synth", "blocks,n=50,intra=0.2,inter=0.05,d=4,tau=0.2,seed=5",
+        "--rates", "0.5", "--methods", "random", "--reps", "4", "--metrics-only",
+        "--workers", "2", "--out", str(out),
+    ]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        t0 = time.monotonic()
+        assert main(args) == 3
+        assert time.monotonic() - t0 < 10
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.search(r"worker .* cell r00_random_rep00[0-3] ", err)
+    assert not (out / "summary.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_multi_rate_greedy_sweep_matches_single_rate_sweeps(tmp_path):

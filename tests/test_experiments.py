@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -142,19 +144,19 @@ def test_gamma_one_cell_evaluates_on_all_nodes():
     assert 0.0 <= rows[0]["accuracy_mean"] <= 1.0
 
 
-def test_blas_runs_on_one_thread_only_while_workers_run(monkeypatch):
+def test_blas_runs_on_one_thread_only_while_workers_run(monkeypatch, tmp_path):
     funcs = experiments._openblas_thread_funcs()
     if funcs is None:
         pytest.skip("numpy has no OpenBLAS in its wheel libraries")
     set_threads, get_threads = funcs
     rng = np.random.default_rng(2)
     g = random_graph(rng, 40, 0.15)
-    seen = []
     real_run_cell = experiments.run_cell
 
-    def spy(*args, **kwargs):
-        seen.append(get_threads())
-        return real_run_cell(*args, **kwargs)
+    def spy(spec, *args, **kwargs):
+        # cells run in forked workers: record the count where the cell runs
+        (tmp_path / f"threads_{spec.seed}").write_text(str(get_threads()))
+        return real_run_cell(spec, *args, **kwargs)
 
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
@@ -164,17 +166,21 @@ def test_blas_runs_on_one_thread_only_while_workers_run(monkeypatch):
     try:
         monkeypatch.setattr(experiments, "run_cell", spy)
         for workers, inside in ((1, 2), (2, 1), (3, 1)):
-            seen.clear()
+            for f in tmp_path.glob("threads_*"):
+                f.unlink()
             plan = ExperimentPlan(rates=(0.5, 0.8), methods=("random", "degree_greedy"), reps=2,
                                   metrics_only=True, workers=workers)
             run_experiment(plan, g)
+            seen = [int(f.read_text()) for f in tmp_path.glob("threads_*")]
             assert seen == [inside] * 6
             assert get_threads() == 2
+            assert multiprocessing.active_children() == []
         # the count comes back also when a cell raises out of the pool
         monkeypatch.setattr(experiments, "run_cell", boom)
         with pytest.raises(RuntimeError, match="boom"):
             run_experiment(ExperimentPlan(rates=(0.5,), methods=("random",), reps=2,
                                           metrics_only=True, workers=2), g)
         assert get_threads() == 2
+        assert multiprocessing.active_children() == []
     finally:
         set_threads(before)

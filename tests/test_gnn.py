@@ -12,6 +12,7 @@ from homsample.gnn import (
     GnnConfig,
     GnnModel,
     _shift_stack,
+    _softmax,
     _stack,
     _unstack,
     init_weights,
@@ -174,6 +175,16 @@ def test_sigmoid_gradients_match_finite_differences():
             w[l][i] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grads[l][i]) <= 1e-4 * max(abs(fd), abs(grads[l][i]), 1e-8)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_softmax_equals_row_reduction_form_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    for scale in (1e-3, 1.0, 30.0, 1e3):
+        logits = rng.standard_normal((500, k)) * scale
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        assert np.array_equal(_softmax(logits), e / e.sum(axis=1, keepdims=True))
 
 
 def test_config_dims_chain():
