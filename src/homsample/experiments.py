@@ -316,7 +316,7 @@ def _run_forked(cells: list[Cell], workers: int) -> list:
     """Run the sweep's cells in ``workers`` forked processes, results in cell order.
 
     A worker process that dies raises BrokenProcessPool naming a cell that did
-    not finish.
+    not finish. When a cell raises, cells not yet started are dropped.
     """
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -325,13 +325,15 @@ def _run_forked(cells: list[Cell], workers: int) -> list:
     with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=ctx) as pool:
         futures = [pool.submit(_run_sweep_cell, i) for i in range(len(cells))]
         results = []
-        for cell, fut in zip(cells, futures):
-            try:
+        try:
+            for fut in futures:
                 results.append(fut.result())
-            except BrokenProcessPool as exc:
-                raise BrokenProcessPool(
-                    f"a worker process died; cell {cell.tag} did not finish"
-                ) from exc
+        except BrokenProcessPool as exc:
+            tag = cells[len(results)].tag  # the cell whose result broke
+            raise BrokenProcessPool(f"a worker process died; cell {tag} did not finish") from exc
+        finally:
+            for fut in futures:
+                fut.cancel()
     return results
 
 

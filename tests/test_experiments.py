@@ -1,4 +1,5 @@
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -184,3 +185,21 @@ def test_blas_runs_on_one_thread_only_while_workers_run(monkeypatch, tmp_path):
         assert multiprocessing.active_children() == []
     finally:
         set_threads(before)
+
+
+def test_cell_raising_out_of_the_pool_drops_cells_not_started(monkeypatch, tmp_path):
+    g = random_graph(np.random.default_rng(3), 30, 0.2)
+    plan = ExperimentPlan(rates=(0.5,), methods=("random",), reps=16, metrics_only=True, workers=2)
+    first = expand_cells(plan)[0].spec.seed
+
+    def slow_or_boom(spec, *args, **kwargs):
+        (tmp_path / f"started_{spec.seed}").touch()
+        if spec.seed == first:
+            raise RuntimeError("boom")
+        time.sleep(0.2)
+
+    monkeypatch.setattr(experiments, "run_cell", slow_or_boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_experiment(plan, g)
+    assert len(list(tmp_path.glob("started_*"))) < 16
+    assert multiprocessing.active_children() == []
