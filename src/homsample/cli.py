@@ -32,9 +32,7 @@ from .graphon import generate_dataset, parse_graphon_spec
 from .io_formats import (
     MetricsReport,
     check_sizes,
-    read_edge_list,
-    read_features_csv,
-    read_labels_csv,
+    read_cached,
     report_to_text,
     write_edge_list,
     write_features_csv,
@@ -125,14 +123,27 @@ def _load_dataset(args, need_features=True, need_labels=False):
         raise DataError("this command requires --features")
     if need_labels and not args.labels:
         raise DataError("this command requires --labels")
-    g = read_edge_list(args.graph)
-    x = read_features_csv(args.features) if args.features else None
-    y = read_labels_csv(args.labels) if args.labels else None
+    stores = []
+
+    def read(path, kind):
+        value, store = read_cached(path, kind)
+        stores.append(store)
+        return value
+
+    g = read(args.graph, "edge_list")
+    x = read(args.features, "features_csv") if args.features else None
+    y = read(args.labels, "labels_csv") if args.labels else None
     if x is not None:
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
             raise DataError(f"{args.features}: non-finite value in row {int(np.argmax(bad)) + 1}")
+    if y is not None:
+        bad = y < 0
+        if bad.any():
+            raise DataError(f"{args.labels}: negative label in row {int(np.argmax(bad)) + 1}")
     check_sizes(g, x, y)
+    for store in stores:  # only inputs that passed every check are cached
+        store()
     return g, x, y
 
 

@@ -76,11 +76,6 @@ def node_scores(xh) -> np.ndarray:
     return np.einsum("ij,ij->i", values, values)
 
 
-def correlation_trace(xh) -> float:
-    """tr(XhXh^T), the total squared mass of the feature matrix."""
-    return float(np.sum(node_scores(xh)))
-
-
 def feature_homophily(g: Graph, xh, edges=None) -> float:
     """Feature homophily: -(1/n) * sum over edges of |Xh_i - Xh_j|^2.
 
@@ -103,7 +98,7 @@ def trace_lower_bound(h_g: float, xh) -> float:
     laplacian_trace(g) >= the returned value.
     """
     values = xh.values if isinstance(xh, NormalizedFeatures) else np.asarray(xh, dtype=np.float64)
-    t = correlation_trace(values)
+    t = float(np.sum(node_scores(values)))  # tr(XhXh^T)
     if t <= 0.0:
         raise ValueError("bound undefined: tr(XhXh^T) is zero (all features degenerate)")
     n = values.shape[0]

@@ -37,17 +37,6 @@ class Graph:
         """The edges of ``edges()`` as one (m, 2) array."""
         return np.column_stack(self.edges())
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def adjacency_dense(self) -> np.ndarray:
-        """Dense adjacency matrix; intended for tests and small graphs."""
-        a = np.zeros((self.n, self.n))
-        u, v = self.edges()
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-        return a
-
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array, flattened (as ``np.unique``).

@@ -17,13 +17,21 @@ module's 131072-character field limit parses instead of raising
 ``csv.Error``). Writers format blocks of rows with one ``%``
 operation each (``"%.17g" % v == format(v, ".17g")``); the feature writer
 stops at the first row with a non-finite value and raises.
+
+The readers are pure parsers. ``read_cached`` puts a content-keyed cache in
+front of them: each parse is stored once as binary arrays next to the input
+and reloaded while the file's bytes stay the same.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
@@ -32,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, build_graph
+from .graph import Graph, _freeze, build_graph
 from .sampling import SampleResult
 
 
@@ -93,7 +101,11 @@ def _read(path, bulk, lines):
 
 
 def read_edge_list(path) -> Graph:
-    """Parse a whitespace ``u v`` edge list into a Graph."""
+    """Parse a whitespace ``u v`` edge list into a Graph.
+
+    Change the ``edge_list`` tag in ``_CACHE_FORMATS`` whenever what this
+    returns for given bytes changes.
+    """
     path = Path(path)
     declared_n, pairs = _read(path, _bulk_edges, _read_edge_lines)
     try:
@@ -156,7 +168,11 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def read_features_csv(path) -> np.ndarray:
-    """CSV of real-valued features, row i = node i."""
+    """CSV of real-valued features, row i = node i.
+
+    Change the ``features_csv`` tag in ``_CACHE_FORMATS`` whenever what this
+    returns for given bytes changes.
+    """
     return _read(path, partial(_bulk_parse, dtype=np.float64, delimiter=","), _read_features_lines)
 
 
@@ -196,7 +212,11 @@ def write_features_csv(x, path) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    """CSV with a single integer label column."""
+    """CSV with a single integer label column.
+
+    Change the ``labels_csv`` tag in ``_CACHE_FORMATS`` whenever what this
+    returns for given bytes changes.
+    """
     return _read(path, partial(_one_column, dtype=np.int64, delimiter=","), _read_labels_lines)
 
 
@@ -230,6 +250,122 @@ def check_sizes(g: Graph, x=None, labels=None) -> None:
     for name, a in (("feature", x), ("label", labels)):
         if a is not None and (rows := np.asarray(a).shape[0]) != g.n:
             raise DataError(f"{name} rows ({rows}) do not match graph nodes ({g.n})")
+
+
+# ---------------------------------------------------------------------------
+# parsed-input cache
+
+CACHE_DIR = "__homsample_cache__"
+
+# reader kind -> (format tag, stored array name -> (dtype, ndim)). An entry
+# is found by its tag, so changing a tag retires every entry of that kind.
+_CACHE_FORMATS = {
+    "edge_list": ("1", {"n": ("int64", 0), "indptr": ("int64", 1), "indices": ("int64", 1)}),
+    "features_csv": ("1", {"features": ("float64", 2)}),
+    "labels_csv": ("1", {"labels": ("int64", 1)}),
+}
+
+
+def _reader(kind: str):
+    return {"edge_list": read_edge_list, "features_csv": read_features_csv, "labels_csv": read_labels_csv}[kind]
+
+
+def _file_digest(path: Path) -> str:
+    """SHA-256 of the file's bytes, read in blocks (``hashlib.file_digest`` needs 3.11)."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _to_arrays(kind: str, value) -> dict[str, np.ndarray]:
+    if kind == "edge_list":
+        return {"n": np.int64(value.n), "indptr": value.indptr, "indices": value.indices}
+    (name,) = _CACHE_FORMATS[kind][1]
+    return {name: value}
+
+
+def _load_entry(entry: Path, kind: str):
+    """The value stored in ``entry``, or None when it is missing, unreadable or malformed."""
+    schema = _CACHE_FORMATS[kind][1]
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            if sorted(npz.files) != sorted(schema):
+                return None
+            a = {name: npz[name] for name in schema}
+    except Exception:  # missing, truncated or not an npz: the reader parses the file
+        return None
+    if any(a[k].dtype != dt or a[k].ndim != nd for k, (dt, nd) in schema.items()):
+        return None
+    if kind != "edge_list":
+        (value,) = a.values()
+        return value if value.size else None
+    n, indptr, indices = int(a["n"]), a["indptr"], a["indices"]
+    if n < 1 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size or indices.size % 2:
+        return None
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        return None
+    return _freeze(Graph(n=n, m=indices.size // 2, indptr=indptr, indices=indices))
+
+
+def _store_entry(entry: Path, stem: str, source: Path, digest: str, arrays: dict) -> None:
+    """Write ``entry`` if ``source`` still hashes to ``digest``, then drop the other ``stem`` entries.
+
+    The entry appears whole or not at all (a temp file and ``os.replace``).
+    Any OSError (a read-only directory, a full disk) leaves the cache as it was.
+    """
+    tmp = entry.parent / f".{entry.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        if _file_digest(source) != digest:  # rewritten while it was parsed
+            return
+        entry.parent.mkdir(exist_ok=True)
+        # O_EXCL: a unique name per writer; mode 0o666 less the umask, as for open()
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, entry)
+        same_input = re.compile(re.escape(stem) + r"\.[^.]+\.[0-9a-f]{64}\.npz")
+        for old in entry.parent.iterdir():
+            if old.name != entry.name and same_input.fullmatch(old.name):
+                old.unlink(missing_ok=True)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)  # gone already once the entry is in place
+
+
+def _no_store() -> None:
+    pass
+
+
+def read_cached(path, kind: str):
+    """``(value, store)``: ``read_<kind>(path)``, through the parsed-input cache.
+
+    ``kind`` is ``edge_list``, ``features_csv`` or ``labels_csv``. Entries
+    live in ``__homsample_cache__`` beside the input, one ``.npz`` per input
+    file, named ``<file name>.<kind>.<format tag>.<sha256 of the bytes>.npz``:
+    the key is the file's content, so an edited file misses whatever its
+    name or time stamps. A hit loads the parsed arrays and ``store`` does
+    nothing. On a miss the reader parses the file and ``store()`` writes the
+    entry, replacing the file's entries for other bytes; call it only once
+    the value has passed the caller's checks. A failure to hash, load or
+    store falls back silently to the plain read.
+    """
+    path = Path(path)
+    try:
+        digest = _file_digest(path) if path.is_file() else None
+    except OSError:
+        digest = None
+    if digest is None:  # missing, unreadable, or a pipe that can be read only once
+        return _reader(kind)(path), _no_store
+    stem = f"{path.name}.{kind}"
+    entry = path.parent / CACHE_DIR / f"{stem}.{_CACHE_FORMATS[kind][0]}.{digest}.npz"
+    value = _load_entry(entry, kind)
+    if value is not None:
+        return value, _no_store
+    value = _reader(kind)(path)
+    return value, partial(_store_entry, entry, stem, path, digest, _to_arrays(kind, value))
 
 
 # ---------------------------------------------------------------------------

@@ -476,6 +476,25 @@ def test_non_finite_features_exit_2_before_any_output(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["experiment", "--rates", "0.5", "--methods", "random", "--reps", "2", "--epochs", "5"],
+    ["train-eval", "--method", "random", "--gamma", "0.5", "--epochs", "5"],
+])
+def test_negative_label_exits_2_before_any_output(tmp_path, capsys, command):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    (tmp_path / "y.csv").write_text("0\n-1\n1\n0\n")
+    out = tmp_path / "out"
+    rc = main([
+        *command, "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+        "--labels", str(tmp_path / "y.csv"), "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"{tmp_path / 'y.csv'}: negative label in row 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "__homsample_cache__").exists()  # nor any cache entry
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--features", "x.csv", "--methods", "random"], "--labels"),  # training needs labels
     (["--labels", "y.csv", "--methods", "random"], "--features"),  # ... and features

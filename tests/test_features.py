@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import homsample as hs
-from homsample.features import correlation_trace
 
 from util import dense_laplacian, normalize_reference, path_graph, random_graph
 
@@ -35,7 +34,7 @@ def test_correlation_trace_counts_valid_columns():
     x = rng.standard_normal((40, 6))
     x[:, 2] = 3.0  # degenerate
     xh = hs.normalize_features(x)
-    assert correlation_trace(xh) == pytest.approx(40 * 5 / 6, abs=1e-9)
+    assert hs.node_scores(xh).sum() == pytest.approx(40 * 5 / 6, abs=1e-9)
 
 
 def test_normalize_rejects_bad_input():

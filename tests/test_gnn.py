@@ -20,7 +20,7 @@ from homsample.gnn import (
     shift_matrix,
 )
 
-from util import dense_laplacian, random_edge_pairs, random_graph
+from util import adjacency_dense, dense_laplacian, random_edge_pairs, random_graph
 
 
 def make_model(rng_seed, d_in, n_classes, **cfg_kw):
@@ -306,7 +306,7 @@ def test_trained_weights_are_independent_arrays_of_documented_shapes():
 def test_shift_matrix_kinds():
     g = hs.build_graph([(0, 1), (1, 2)])
     a = shift_matrix(g, "adjacency").toarray()
-    assert np.array_equal(a, g.adjacency_dense())
+    assert np.array_equal(a, adjacency_dense(g))
     lap = shift_matrix(g, "laplacian").toarray()
     assert np.array_equal(lap, np.diag([1.0, 2.0, 1.0]) - a)
     norm = shift_matrix(g, "gcn_norm").toarray()
@@ -354,7 +354,7 @@ def test_shift_matrix_matches_dense_oracles():
     rng = np.random.default_rng(8)
     for n, p in [(1, 0.0), (12, 0.0), (25, 0.2), (40, 0.6)]:
         g = random_graph(rng, n, p)
-        assert np.array_equal(shift_matrix(g, "adjacency").toarray(), g.adjacency_dense())
+        assert np.array_equal(shift_matrix(g, "adjacency").toarray(), adjacency_dense(g))
         assert np.array_equal(shift_matrix(g, "laplacian").toarray(), dense_laplacian(g))
 
 

@@ -20,7 +20,7 @@ def bfs_labels_reference(g):
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v).tolist():
+            for w in g.indices[g.indptr[v] : g.indptr[v + 1]].tolist():
                 if labels[w] < 0:
                     labels[w] = count
                     queue.append(w)
@@ -31,7 +31,7 @@ def bfs_labels_reference(g):
 def greedy_order_reference(g, n_remove):
     """Resimulate every step: recount live degrees, delete the (degree, index) minimum."""
     alive = set(range(g.n))
-    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    nbrs = [set(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()) for v in range(g.n)]
     order = []
     for _ in range(n_remove):
         v = min(alive, key=lambda u: (len(nbrs[u] & alive), u))

@@ -15,8 +15,17 @@ def random_graph(rng, n, p):
     return hs.build_graph(random_edge_pairs(rng, n, p), n=n)
 
 
+def adjacency_dense(g):
+    """Dense adjacency matrix of a small graph."""
+    a = np.zeros((g.n, g.n))
+    u, v = g.edges()
+    a[u, v] = 1.0
+    a[v, u] = 1.0
+    return a
+
+
 def dense_laplacian(g):
-    a = g.adjacency_dense()
+    a = adjacency_dense(g)
     return np.diag(a.sum(axis=1)) - a
 
 
