@@ -232,10 +232,16 @@ def test_pipe_is_read_once_and_not_cached(tmp_path, capsys):
     ref = capsys.readouterr().out
     fifo = tmp_path / "features.csv"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=("0.0\n1.0\n0.5\n",))
-    writer.start()
+    done = threading.Event()
+
+    def write_once():
+        fifo.write_text("0.0\n1.0\n0.5\n")
+        while not done.wait(10):  # a reader opening the pipe again gets EOF, not a hang
+            fifo.write_text("")
+
+    threading.Thread(target=write_once, daemon=True).start()
     rc = main(["homophily", "--graph", str(graph), "--features", str(fifo)])
-    writer.join()
+    done.set()
     assert rc == 0
     assert capsys.readouterr().out == ref
     assert _entries(tmp_path, "features.csv.") == []
