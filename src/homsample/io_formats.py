@@ -267,7 +267,9 @@ _CACHE_FORMATS = {
 
 
 def _reader(kind: str):
-    return {"edge_list": read_edge_list, "features_csv": read_features_csv, "labels_csv": read_labels_csv}[kind]
+    return {
+        "edge_list": read_edge_list, "features_csv": read_features_csv, "labels_csv": read_labels_csv,
+    }[kind]
 
 
 def _file_digest(path: Path) -> str:
@@ -302,15 +304,15 @@ def _load_entry(entry: Path, kind: str):
         (value,) = a.values()
         return value if value.size else None
     n, indptr, indices = int(a["n"]), a["indptr"], a["indices"]
-    if n < 1 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size or indices.size % 2:
+    if n < 1 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
         return None
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
+    if indices.size % 2 or (indices.size and (indices.min() < 0 or indices.max() >= n)):
         return None
     return _freeze(Graph(n=n, m=indices.size // 2, indptr=indptr, indices=indices))
 
 
 def _store_entry(entry: Path, stem: str, source: Path, digest: str, arrays: dict) -> None:
-    """Write ``entry`` if ``source`` still hashes to ``digest``, then drop the other ``stem`` entries.
+    """Write ``entry`` if ``source`` still hashes to ``digest``; drop the other ``stem`` entries.
 
     The entry appears whole or not at all (a temp file and ``os.replace``).
     Any OSError (a read-only directory, a full disk) leaves the cache as it was.
