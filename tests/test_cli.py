@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -120,6 +122,37 @@ def test_sample_degree_greedy_needs_no_features(tmp_path, capsys):
     # the score sampler is the one that reads features
     assert main(args + ["--method", "homophily", "--out", str(tmp_path / "h")]) == 2
     assert "requires --features" in capsys.readouterr().err
+
+
+def test_sample_into_a_used_directory_leaves_no_older_table(tmp_path):
+    g = hs.build_graph([(i, i + 1) for i in range(9)], n=10)
+    write_edge_list(g, tmp_path / "g.txt")
+    write_features_csv(np.arange(20.0).reshape(10, 2), tmp_path / "x.csv")
+    write_labels_csv(np.arange(10) % 2, tmp_path / "y.csv")
+    out = tmp_path / "s"
+    args = ["sample", "--graph", str(tmp_path / "g.txt"), "--out", str(out)]
+    data = ["--features", str(tmp_path / "x.csv"), "--labels", str(tmp_path / "y.csv")]
+    assert main(args + data + ["--method", "homophily", "--gamma", "0.5"]) == 0
+    assert len(read_features_csv(out / "features.csv")) == 5
+    (out / "notes.txt").write_text("kept by the user\n")
+    assert main(args + ["--method", "random", "--gamma", "0.3"]) == 0
+    assert len(read_kept(out / "kept.txt")) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["edges.txt", "id_map.txt", "kept.txt", "notes.txt"]
+    assert main(args + ["--labels", str(tmp_path / "y.csv"), "--method", "random", "--gamma", "0.3"]) == 0
+    assert (out / "labels.csv").exists() and not (out / "features.csv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the fork-based writers and the experiment pool import nothing at start-up
+    code = (
+        "import sys, homsample.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(hs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_metrics_command_writes_report(p3_dir, capsys):

@@ -1,4 +1,8 @@
+import io
+import os
 import re
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -432,3 +436,165 @@ def test_non_finite_features_raise_the_same_message(bad, tmp_path):
         write_features_csv(x, tmp_path / "x.csv")
     # the rows before the bad one are written, as they were row by row
     assert (tmp_path / "x.csv").read_text() == "1,1,1\n" * 1500
+
+
+# ---------------------------------------------------------------------------
+# split writes: one forked child per usable CPU after the first
+
+_SPLIT_AT = 2 * io_formats._SPLIT_VALUES  # fewest values a 2-CPU write splits
+
+
+def _table(shape, kind):
+    """Random values with the extremes of the format on every 7th cell."""
+    rng = np.random.default_rng(shape[0])
+    if kind == "%d":
+        a = rng.integers(-(2**62), 2**62, size=shape)
+        special = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]
+    else:
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [-0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308, 0.1]
+    flat = a.reshape(-1)
+    flat[::7] = np.resize(special, flat[::7].size)
+    return a
+
+
+def _write_with_cpus(monkeypatch, cpus, path, row_fmt, a):
+    """The file that ``_write_rows`` writes between a buffered header and a trailer."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", counting_fork)
+        with open(path, "w") as fh:
+            fh.write("head\n")
+            io_formats._write_rows(fh, row_fmt, a)
+            fh.write("tail\n")
+    return path.read_bytes(), len(forks)
+
+
+@pytest.mark.parametrize("kind", ["%d", "%.17g"])
+@pytest.mark.parametrize(
+    "shape",
+    [(0,), (1,), (_SPLIT_AT - 1,), (_SPLIT_AT,), (_SPLIT_AT + 1,), (2 * _SPLIT_AT + 2,),
+     (0, 16), (1, 16), (_SPLIT_AT // 16 - 1, 16), (_SPLIT_AT // 16, 16), (_SPLIT_AT // 16 + 1, 16),
+     (20001, 5), (3, 40000)],
+)
+def test_split_write_equals_one_cpu_write(shape, kind, tmp_path, monkeypatch):
+    a = _table(shape, kind)
+    width = shape[1] if len(shape) == 2 else 1
+    row_fmt = " ".join([kind] * width) + "\n"
+    want, forks = _write_with_cpus(monkeypatch, 1, tmp_path / "one.txt", row_fmt, a)
+    assert forks == 0
+    for cpus in (2, 3):
+        got, forks = _write_with_cpus(monkeypatch, cpus, tmp_path / f"cpus{cpus}.txt", row_fmt, a)
+        assert got == want
+        assert forks == max(0, min(cpus, a.size // io_formats._SPLIT_VALUES, shape[0]) - 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpus2.txt", "cpus3.txt", "one.txt"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_write_stops_at_a_non_finite_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    x = np.ones((10000, 16))
+    x[7001, 3] = float("nan")
+    message = f"cannot serialize non-finite value {np.float64('nan')!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_features_csv(x, tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_text() == (",".join(["1"] * 16) + "\n") * 7001
+
+
+def _patch_blocks(monkeypatch, in_child=None, in_parent=None):
+    """Run ``in_child()`` in each forked child, ``in_parent()`` here, before a range is written."""
+    parent = os.getpid()
+    real = io_formats._write_blocks
+
+    def write_blocks(*args):
+        act = in_parent if os.getpid() == parent else in_child
+        if act is not None:
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(io_formats, "_write_blocks", write_blocks)
+
+
+@pytest.mark.parametrize(
+    "act",
+    [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: 1 / 0],
+    ids=["exits-3", "killed", "raises"],
+)
+def test_failed_child_range_is_written_by_the_parent(act, tmp_path, monkeypatch):
+    x = np.random.default_rng(7).standard_normal((9001, 16))
+    write_features_csv(x, tmp_path / "serial.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _patch_blocks(monkeypatch, in_child=act)
+    write_features_csv(x, tmp_path / "split.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["serial.csv", "split.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_real_copy_file_range = getattr(os, "copy_file_range", None)
+
+
+def _copy_in_small_pieces(src, dst, count, offset_src):
+    return _real_copy_file_range(src, dst, min(count, 4096), offset_src)
+
+
+def _copy_refused(src, dst, count, offset_src):
+    raise OSError(18, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("copy", [_copy_in_small_pieces, _copy_refused], ids=["pieces", "refused"])
+def test_child_bytes_are_appended_whole_or_formatted_here(copy, tmp_path, monkeypatch):
+    x = np.random.default_rng(8).standard_normal((9001, 16))
+    write_features_csv(x, tmp_path / "serial.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "copy_file_range", copy)
+    write_features_csv(x, tmp_path / "split.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_error_in_the_parents_range_reaps_every_child(tmp_path, monkeypatch):
+    def disk_full():
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # the children are still running when the parent fails
+    _patch_blocks(monkeypatch, in_child=lambda: time.sleep(60), in_parent=disk_full)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="No space left"):
+        write_features_csv(np.ones((9001, 16)), tmp_path / "x.csv")
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+@pytest.mark.parametrize("where", ["one-cpu", "small-table", "stringio", "dev-null", "no-O_TMPFILE"])
+def test_serial_writes_never_fork(where, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    a = np.arange(_SPLIT_AT - 1 if where == "small-table" else 3 * _SPLIT_AT)
+    want = "".join(f"{v}\n" for v in a.tolist())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if where == "one-cpu" else {0, 1})
+    if where == "no-O_TMPFILE":
+        monkeypatch.delattr(os, "O_TMPFILE")
+    monkeypatch.setattr(os, "fork", no_fork)
+    if where == "stringio":
+        fh = io.StringIO()
+        io_formats._write_rows(fh, "%d\n", a)
+        assert fh.getvalue() == want
+    elif where == "dev-null":
+        with open(os.devnull, "w") as fh:
+            io_formats._write_rows(fh, "%d\n", a)
+    else:
+        write_labels_csv(a, tmp_path / "y.csv")
+        assert (tmp_path / "y.csv").read_text() == want
