@@ -186,7 +186,10 @@ def cmd_sample(args) -> int:
 
 def cmd_metrics(args) -> int:
     g, x, _ = _load_dataset(args)
-    metrics = subgraph_metrics(g, x)
+    try:
+        metrics = subgraph_metrics(g.n, g.edges, x)
+    except ValueError as exc:  # every feature column constant: no trace bound
+        raise DataError(f"{args.features}: {exc}") from None
     report = MetricsReport(
         dataset=Path(args.graph).stem, method="full", gamma=1.0, seed=0, **metrics
     )

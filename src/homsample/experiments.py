@@ -1,8 +1,9 @@
 """Experiment harness: rate/method sweeps, metrics reports, and benchmarks.
 
 A plan expands into independent (rate, method, repetition) cells. Each cell
-samples a subgraph, measures its connectivity metrics, optionally trains a
-GNN on it and evaluates transfer accuracy on the full graph, and writes a
+samples nodes, measures the sample's connectivity metrics from the graph's
+edge view (built once per sweep), optionally trains a GNN on the induced
+subgraph and evaluates transfer accuracy on the full graph, and writes a
 canonical report plus a timing sidecar. The summary aggregates mean and
 standard error per (rate, method). Outputs are byte-reproducible for a
 fixed plan; wall-clock sidecars are the only non-deterministic files.
@@ -21,17 +22,18 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError, NumericalError
-from .features import feature_homophily, node_scores, normalize_features, trace_lower_bound
-from .gnn import GnnConfig, evaluate, train
-from .graph import (
-    Graph,
-    adjusted_trace,
-    induced_subgraph,
-    laplacian_trace,
+from .features import (
+    edge_homophily,
+    feature_homophily,
+    node_scores,
+    normalize_features,
+    trace_lower_bound,
 )
+from .gnn import GnnConfig, evaluate, train
+from .graph import Graph, induced_edges, induced_subgraph
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleSpec, check_method, greedy_order, lowest_score_nodes, sample
+from .sampling import SampleSpec, check_method, greedy_order, lowest_score_nodes, sample_ids
 
 
 @dataclass(frozen=True)
@@ -92,26 +94,29 @@ def expand_cells(plan: ExperimentPlan) -> list[Cell]:
     return cells
 
 
-def subgraph_metrics(sub: Graph, x: np.ndarray | None) -> dict:
-    """Connectivity and homophily metrics of a (sub)graph and its features.
+def subgraph_metrics(n: int, edges, x: np.ndarray | None) -> dict:
+    """Connectivity and homophily metrics of an ``n``-node graph and its features.
 
-    Features are re-standardized on the subsample before computing
-    homophily and the trace bound. The edge view is built once, for the
-    components and the homophily sum, and only after standardizing, so the
-    view and the standardization's temporaries never coexist (peak RSS).
+    ``edges`` is a zero-argument callable that returns the graph's edge
+    view (``(u, v)``, each undirected edge once), e.g. ``g.edges`` or a
+    sample's ``induced_edges``; tr(L) is twice its length. ``x`` (or None)
+    is re-standardized on these nodes before computing homophily and the
+    trace bound. Standardizing comes first and the view is built after it,
+    so the view and the standardization's temporaries never coexist (peak
+    RSS).
     """
     xh = None if x is None else normalize_features(x)
-    edges = sub.edges()
-    tr = laplacian_trace(sub)
-    count, _ = _kernels.component_labels(sub.n, *edges)
+    u, v = edges()
+    tr = 2.0 * u.shape[0]
+    count, _ = _kernels.component_labels(n, u, v)
     out = {
         "laplacian_trace": tr,
-        "adjusted_trace": adjusted_trace(sub),
+        "adjusted_trace": tr / n,
         "components": count,
-        "laplacian_rank": sub.n - count,
+        "laplacian_rank": n - count,
     }
     if xh is not None:
-        h = feature_homophily(sub, xh, edges)
+        h = edge_homophily(n, (u, v), xh)
         bound = trace_lower_bound(h, xh)
         out.update(
             h_g=h, trace_bound=bound, bound_satisfied=bool(tr >= bound - 1e-9)
@@ -129,23 +134,28 @@ def run_cell(
     gnn: GnnConfig | None,
     dataset_id: str,
     greedy: np.ndarray | None = None,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[MetricsReport, dict]:
     """Sample by ``spec``, measure the sample, and train when given ``gnn``.
 
-    Returns (report, phase timings). With a ``gnn`` config (which then needs
-    ``x`` and ``labels``) the GNN, seeded with ``spec.seed``, is fit on the
-    whole subsample and the report carries its accuracy on the nodes the
-    sample did not keep, or on every node when it kept them all. ``greedy``
-    is the sweep's shared degree-greedy deletion order (see
-    ``sampling.sample``).
+    Returns (report, phase timings). The sample is measured from ``edges``,
+    the edge view of ``g`` (``g.edges()`` when None), without building its
+    subgraph. With a ``gnn`` config (which then needs ``x`` and ``labels``)
+    the GNN, seeded with ``spec.seed``, is fit on the induced subgraph and
+    the report carries its accuracy on the nodes the sample did not keep,
+    or on every node when it kept them all. ``greedy`` is the sweep's
+    shared degree-greedy deletion order (see ``sampling.sample``).
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    result = sample(g, spec, x=x, labels=labels, greedy=greedy)
+    kept = sample_ids(g, spec, x=x, greedy=greedy)
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    metrics = subgraph_metrics(result.subgraph, result.features)
+    xk = None if x is None else np.asarray(x)[kept]
+    metrics = subgraph_metrics(
+        kept.size, lambda: induced_edges(g.n, g.edges() if edges is None else edges, kept), xk
+    )
     timings["metrics"] = time.perf_counter() - t0
 
     accuracy = None
@@ -153,17 +163,17 @@ def run_cell(
         t0 = time.perf_counter()
         n_classes = int(np.max(labels)) + 1
         model = train(
-            result.subgraph,
-            result.features,
-            result.labels,
-            np.ones(result.subgraph.n, dtype=bool),
+            induced_subgraph(g, kept),
+            xk,
+            np.asarray(labels)[kept],
+            np.ones(kept.size, dtype=bool),
             replace(gnn, seed=spec.seed),
             n_classes=n_classes,
         )
         timings["train"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         eval_mask = np.ones(g.n, dtype=bool)
-        eval_mask[result.kept] = False
+        eval_mask[kept] = False
         if not eval_mask.any():  # gamma = 1 keeps everything
             eval_mask[:] = True
         accuracy = evaluate(model, g, x, labels, eval_mask)
@@ -299,15 +309,16 @@ def write_summary_csv(rows: list[dict], path) -> None:
 
 
 # The running sweep's (cells, graph, features, labels, gnn, dataset id, greedy
-# order). Forked workers inherit it copy-on-write, so a task is a cell index.
+# order, edge view of the graph). Forked workers inherit it copy-on-write, so
+# a task is a cell index.
 _SWEEP: tuple | None = None
 
 
 def _run_sweep_cell(i: int):
     """Cell ``i`` of the running sweep: (report, timings), or the handled error."""
-    cells, g, x, labels, gnn, dataset_id, greedy = _SWEEP
+    cells, g, x, labels, gnn, dataset_id, greedy, edges = _SWEEP
     try:
-        return run_cell(cells[i].spec, g, x, labels, gnn, dataset_id, greedy=greedy)
+        return run_cell(cells[i].spec, g, x, labels, gnn, dataset_id, greedy=greedy, edges=edges)
     except (ValueError, DataError, NumericalError) as exc:
         return exc
 
@@ -347,9 +358,10 @@ def run_experiment(
     """Run every cell of the plan, write reports and the summary, return rows.
 
     Cells run independently (in ``plan.workers`` forked processes when that
-    is above 1, which inherit the inputs rather than receive copies); the
-    summary is assembled in plan order after the join, so outputs are
-    reproducible regardless of worker count. No worker outlives the call.
+    is above 1, which inherit the inputs and the graph's edge view, built
+    once here, rather than receive copies); the summary is assembled in
+    plan order after the join, so outputs are reproducible regardless of
+    worker count. No worker outlives the call.
     With more than one worker, BLAS runs on one thread while the pool runs,
     and a worker process that dies raises BrokenProcessPool before anything
     is written. The degree-greedy deletion order is computed once, at the
@@ -371,7 +383,7 @@ def run_experiment(
         greedy = greedy_order(g, plan.rates)
         greedy_s = time.perf_counter() - t0
 
-    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, greedy)
+    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, greedy, g.edges())
     try:
         if plan.workers > 1:
             results = _run_forked(cells, plan.workers)

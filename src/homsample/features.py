@@ -58,15 +58,21 @@ def as_feature_matrix(x) -> np.ndarray:
 
 
 def normalize_features(x) -> NormalizedFeatures:
-    """Standardize features column-wise: (x - mu_j) / (sqrt(d) * sigma_j)."""
+    """Standardize features column-wise: (x - mu_j) / (sqrt(d) * sigma_j).
+
+    The matrix is centred once and the centred copy is scaled in place. The
+    sums and divisions are the ones ``x.mean(0)`` and ``x.std(0)`` (the
+    population std) make, so the floats are theirs.
+    """
     x = as_feature_matrix(x)
-    d = x.shape[1]
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)  # population std
+    n, d = x.shape
+    mu = np.add.reduce(x, axis=0) / n
+    values = x - mu
+    sigma = np.sqrt(np.add.reduce(values * values, axis=0) / n)
     valid = sigma > 0.0
     scale = np.zeros(d)
     scale[valid] = 1.0 / (np.sqrt(d) * sigma[valid])
-    values = (x - mu) * scale
+    values *= scale
     return NormalizedFeatures(values=values, valid_mask=valid, mean=mu, scale=scale)
 
 
@@ -76,17 +82,21 @@ def node_scores(xh) -> np.ndarray:
     return np.einsum("ij,ij->i", values, values)
 
 
-def feature_homophily(g: Graph, xh, edges=None) -> float:
+def feature_homophily(g: Graph, xh) -> float:
     """Feature homophily: -(1/n) * sum over edges of |Xh_i - Xh_j|^2.
 
-    Edge-wise evaluation of tr(-L XhXh^T)/n, O(dm); always <= 0. ``edges``
-    may pass ``g.edges()`` when the caller already holds it.
+    Edge-wise evaluation of tr(-L XhXh^T)/n, O(dm); always <= 0.
     """
+    return edge_homophily(g.n, g.edges(), xh)
+
+
+def edge_homophily(n: int, edges, xh) -> float:
+    """``feature_homophily`` of the ``n``-node graph whose edge view is ``edges``."""
     values = xh.values if isinstance(xh, NormalizedFeatures) else np.asarray(xh, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != g.n:
-        raise ValueError(f"features have {values.shape[0]} rows, graph has {g.n} nodes")
-    total = _kernels.edge_distance_sum(*(g.edges() if edges is None else edges), values)
-    h = -total / g.n if total > 0.0 else 0.0  # avoid -0.0
+    if values.ndim != 2 or values.shape[0] != n:
+        raise ValueError(f"features have {values.shape[0]} rows, graph has {n} nodes")
+    total = _kernels.edge_distance_sum(*edges, values)
+    h = -total / n if total > 0.0 else 0.0  # avoid -0.0
     assert h <= 0.0
     return h
 

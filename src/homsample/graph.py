@@ -31,7 +31,9 @@ class Graph:
         """Undirected edges as ``(u, v)`` arrays with u < v, lexicographically sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         once = src < self.indices
-        return src[once], self.indices[once]
+        u = src[once]
+        del src  # one edge-sized array fewer at the peak
+        return u, self.indices[once]
 
     def edge_array(self) -> np.ndarray:
         """The edges of ``edges()`` as one (m, 2) array."""
@@ -141,3 +143,19 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     dst = new_id[g.indices[emask]]
     indptr, indices = _csr_from_directed(dst, dst, ids.size)
     return _freeze(Graph(n=ids.size, m=indices.size // 2, indptr=indptr, indices=indices))
+
+
+def induced_edges(n: int, edges, keep) -> tuple[np.ndarray, np.ndarray]:
+    """Edge view of ``induced_subgraph(g, keep)`` from ``edges``, the view of ``g`` (n nodes).
+
+    ``keep`` holds sorted distinct ids in [0, n). No CSR is built: the
+    parent's edges with both ends kept are relabeled, and as the relabeling
+    is monotone the result equals ``induced_subgraph(g, keep).edges()``.
+    """
+    u, v = edges
+    kmask = np.zeros(n, dtype=bool)
+    kmask[keep] = True
+    new_id = np.cumsum(kmask, dtype=np.int64) - 1
+    emask = kmask[u]
+    emask &= kmask[v]
+    return new_id[u[emask]], new_id[v[emask]]

@@ -64,14 +64,19 @@ _BLOCK_VALUES = 1 << 12
 _SPLIT_VALUES = 1 << 15
 
 
-def _write_blocks(fh, row_fmt: str, a: np.ndarray, rows: int) -> None:
-    for lo in range(0, a.shape[0], rows):
-        block = a[lo : lo + rows]
+def _write_blocks(fh, row_fmt: str, cols: tuple, rows: int) -> None:
+    for lo in range(0, cols[0].shape[0], rows):
+        block = np.column_stack([c[lo : lo + rows] for c in cols])
         fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def _write_rows(fh, row_fmt: str, a: np.ndarray) -> None:
-    """Write row i of ``a`` (1-d: one value per row) as ``row_fmt % tuple(a[i])``.
+def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
+    """Write row i of the table ``cols`` as ``row_fmt % tuple(row i)``.
+
+    The table's columns are those of ``cols`` side by side: each is 1-d (one
+    column) or 2-d, with the same row count. Only one block of rows is ever
+    stacked into one array, so columns held apart (an edge view's ``u`` and
+    ``v``) are never copied whole.
 
     A table of at least ``2 * _SPLIT_VALUES`` values bound for a regular file
     is split into contiguous row ranges, one per usable CPU. A forked child
@@ -81,25 +86,30 @@ def _write_rows(fh, row_fmt: str, a: np.ndarray) -> None:
     serial loop writes. A range whose child fails is formatted here instead,
     and no child or temp file outlives the call.
     """
-    width = a.shape[1] if a.ndim == 2 else 1
+    n_rows = cols[0].shape[0]
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
     rows = max(1, _BLOCK_VALUES // max(1, width))
-    tmps = _range_files(fh, a)
+    tmps = _range_files(fh, n_rows, n_rows * width)
     if not tmps:
-        return _write_blocks(fh, row_fmt, a, rows)
+        return _write_blocks(fh, row_fmt, cols, rows)
     parts = len(tmps) + 1
-    bounds = [a.shape[0] * i // parts for i in range(parts + 1)]
+    bounds = [n_rows * i // parts for i in range(parts + 1)]
     ranges = list(zip(tmps, bounds[1:], bounds[2:]))
+
+    def rows_of(lo: int, hi: int) -> tuple:
+        return tuple(c[lo:hi] for c in cols)
+
     pids: list[int | None] = []
     try:
         for fd, lo, hi in ranges:
-            pids.append(_fork_range(fd, row_fmt, a[lo:hi], rows))
-        _write_blocks(fh, row_fmt, a[: bounds[1]], rows)
+            pids.append(_fork_range(fd, row_fmt, rows_of(lo, hi), rows))
+        _write_blocks(fh, row_fmt, rows_of(0, bounds[1]), rows)
         fh.flush()
         for i, (fd, lo, hi) in enumerate(ranges):
             ok = pids[i] is not None and os.waitpid(pids[i], 0)[1] == 0
             pids[i] = None
             if not (ok and _append(fh.fileno(), fd)):
-                _write_blocks(fh, row_fmt, a[lo:hi], rows)
+                _write_blocks(fh, row_fmt, rows_of(lo, hi), rows)
                 fh.flush()
     finally:
         for pid in pids:
@@ -110,7 +120,7 @@ def _write_rows(fh, row_fmt: str, a: np.ndarray) -> None:
             os.close(fd)
 
 
-def _range_files(fh, a: np.ndarray) -> list[int]:
+def _range_files(fh, n_rows: int, n_values: int) -> list[int]:
     """An unnamed temp file beside ``fh``'s regular file for each range after the first.
 
     [] when the write is not split: one usable CPU, a small table, no file
@@ -119,7 +129,7 @@ def _range_files(fh, a: np.ndarray) -> list[int]:
     """
     fds: list[int] = []
     try:
-        parts = min(len(os.sched_getaffinity(0)), a.size // _SPLIT_VALUES, a.shape[0])
+        parts = min(len(os.sched_getaffinity(0)), n_values // _SPLIT_VALUES, n_rows)
         if parts > 1 and stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and hasattr(os, "copy_file_range"):
             where = os.path.dirname(os.path.abspath(fh.name))
             for _ in range(parts - 1):
@@ -131,10 +141,10 @@ def _range_files(fh, a: np.ndarray) -> list[int]:
     return fds
 
 
-def _fork_range(fd: int, row_fmt: str, a: np.ndarray, rows: int) -> int | None:
-    """Pid of a forked child that writes ``a``'s rows to ``fd``; None if fork fails.
+def _fork_range(fd: int, row_fmt: str, cols: tuple, rows: int) -> int | None:
+    """Pid of a forked child that writes the rows of ``cols`` to ``fd``; None if fork fails.
 
-    The child inherits ``a`` copy-on-write and leaves only through
+    The child inherits ``cols`` copy-on-write and leaves only through
     ``os._exit``, so it flushes no buffer it shares with this process.
     """
     # On Python >= 3.12 os.fork warns (DeprecationWarning) while numpy's
@@ -148,7 +158,7 @@ def _fork_range(fd: int, row_fmt: str, a: np.ndarray, rows: int) -> int | None:
         code = 1
         try:
             with open(fd, "w", closefd=False) as out:
-                _write_blocks(out, row_fmt, a, rows)
+                _write_blocks(out, row_fmt, cols, rows)
             code = 0
         finally:
             os._exit(code)
@@ -264,7 +274,7 @@ def write_edge_list(g: Graph, path) -> None:
     path = Path(path)
     with open(path, "w") as fh:
         fh.write(f"n={g.n}\n")
-        _write_rows(fh, "%d %d\n", g.edge_array())
+        _write_rows(fh, "%d %d\n", *g.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +501,7 @@ def write_sample(result: SampleResult, outdir) -> None:
         _write_rows(fh, "%d\n", kept)
     write_edge_list(result.subgraph, outdir / "edges.txt")
     with open(outdir / "id_map.txt", "w") as fh:
-        _write_rows(fh, "%d %d\n", np.column_stack([np.arange(kept.size), kept]))
+        _write_rows(fh, "%d %d\n", np.arange(kept.size), kept)
     for a, name, write in (
         (result.features, "features.csv", write_features_csv),
         (result.labels, "labels.csv", write_labels_csv),

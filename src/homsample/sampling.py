@@ -1,8 +1,9 @@
 """Node subsamplers: the homophily score heuristic plus two baselines.
 
-All samplers keep exactly n - floor((1 - gamma) * n) nodes and return the
-kept ids (a sorted int64 array of original node ids), the induced subgraph
-and the kept rows of the raw features/labels. Restricted features are
+All samplers keep exactly n - floor((1 - gamma) * n) nodes. ``sample_ids``
+returns just the kept ids (a sorted int64 array of original node ids); the
+``sample*`` functions also return the induced subgraph and the kept rows of
+the raw features/labels. Restricted features are
 deliberately NOT re-standardized here; consumers (e.g. GNN training)
 normalize on the subsample themselves.
 """
@@ -79,6 +80,31 @@ def lowest_score_nodes(scores: np.ndarray, gamma: float) -> np.ndarray:
     return np.sort(order[: _keep_count(scores.shape[0], gamma)])
 
 
+def _homophily_ids(g: Graph, x: np.ndarray, spec: SampleSpec) -> np.ndarray:
+    """Kept ids of ``sample_homophily``; ``x`` has passed ``as_feature_matrix``."""
+    if x.shape[0] != g.n:
+        raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
+    scores = node_scores(x if spec.use_raw_scores else normalize_features(x))
+    return lowest_score_nodes(scores, spec.gamma)
+
+
+def _random_ids(g: Graph, spec: SampleSpec) -> np.ndarray:
+    keep_n = _keep_count(g.n, spec.gamma)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    return np.sort(rng.choice(g.n, size=keep_n, replace=False))
+
+
+def _degree_greedy_ids(g: Graph, spec: SampleSpec, order: np.ndarray | None) -> np.ndarray:
+    n_remove = g.n - _keep_count(g.n, spec.gamma)
+    if order is None:
+        order = greedy_order(g, (spec.gamma,))
+    elif order.shape[0] < n_remove:
+        raise ValueError(f"greedy order holds {order.shape[0]} deletions, need {n_remove}")
+    kept_mask = np.ones(g.n, dtype=bool)
+    kept_mask[order[:n_remove]] = False
+    return np.flatnonzero(kept_mask)
+
+
 def sample_homophily(g: Graph, x, spec: SampleSpec, labels=None) -> SampleResult:
     """Drop the floor((1-gamma)n) nodes with the largest feature scores.
 
@@ -88,10 +114,7 @@ def sample_homophily(g: Graph, x, spec: SampleSpec, labels=None) -> SampleResult
     nodes are removed.
     """
     x = as_feature_matrix(x)
-    if x.shape[0] != g.n:
-        raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
-    scores = node_scores(x if spec.use_raw_scores else normalize_features(x))
-    return _restrict(g, lowest_score_nodes(scores, spec.gamma), x, labels)
+    return _restrict(g, _homophily_ids(g, x, spec), x, labels)
 
 
 def sample_random(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:
@@ -100,10 +123,7 @@ def sample_random(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResu
     Uses a counter-based (Philox) generator so distinct seeds give
     independent, reproducible draws under parallel execution.
     """
-    keep_n = _keep_count(g.n, spec.gamma)
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    kept_ids = np.sort(rng.choice(g.n, size=keep_n, replace=False))
-    return _restrict(g, kept_ids, x, labels)
+    return _restrict(g, _random_ids(g, spec), x, labels)
 
 
 def greedy_order(g: Graph, gammas) -> np.ndarray:
@@ -126,21 +146,11 @@ def sample_degree_greedy(
     order from ``greedy_order`` at a budget at least this one's, saves
     recomputing it; the sample is the same either way.
     """
-    keep_n = _keep_count(g.n, spec.gamma)
-    n_remove = g.n - keep_n
-    if order is None:
-        order = greedy_order(g, (spec.gamma,))
-    elif order.shape[0] < n_remove:
-        raise ValueError(f"greedy order holds {order.shape[0]} deletions, need {n_remove}")
-    removed = order[:n_remove]
-    kept_mask = np.ones(g.n, dtype=bool)
-    kept_mask[removed] = False
-    kept_ids = np.flatnonzero(kept_mask)
-    return _restrict(g, kept_ids, x, labels)
+    return _restrict(g, _degree_greedy_ids(g, spec, order), x, labels)
 
 
-def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> SampleResult:
-    """Dispatch to the sampler named by ``spec.method``.
+def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
+    """Sorted kept ids of the sampler named by ``spec.method``.
 
     ``greedy`` is an optional shared deletion order for ``degree_greedy``
     (see ``sample_degree_greedy``); the other methods ignore it.
@@ -149,7 +159,12 @@ def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> Samp
     if method == "homophily":
         if x is None:
             raise ValueError("homophily sampling requires node features")
-        return sample_homophily(g, x, spec, labels=labels)
+        return _homophily_ids(g, as_feature_matrix(x), spec)
     if method == "random":
-        return sample_random(g, spec, x=x, labels=labels)
-    return sample_degree_greedy(g, spec, x=x, labels=labels, order=greedy)
+        return _random_ids(g, spec)
+    return _degree_greedy_ids(g, spec, greedy)
+
+
+def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> SampleResult:
+    """The sample of ``sample_ids``, with the kept rows of ``x`` and ``labels``."""
+    return _restrict(g, sample_ids(g, spec, x=x, greedy=greedy), x, labels)

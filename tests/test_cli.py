@@ -46,6 +46,17 @@ def test_homophily_identical_features_prints_zero(p3_dir, capsys):
     assert "undefined" in out  # all columns constant, bound has no denominator
 
 
+def test_metrics_with_every_column_constant_exits_2_naming_the_features(p3_dir, capsys):
+    features = str(p3_dir / "const.csv")
+    out = p3_dir / "report.json"
+    rc = main(["metrics", "--graph", str(p3_dir / "graph.txt"), "--features", features, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"homsample: data error: {features}: bound undefined")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_homophily_single_edge_values(tmp_path, capsys):
     write_edge_list(hs.build_graph([(0, 1)]), tmp_path / "g.txt")
     write_features_csv(np.array([[0.0], [1.0]]), tmp_path / "x.csv")
@@ -223,7 +234,7 @@ def test_train_eval_raw_scores_report(tmp_path, capsys):
     def metrics(raw):
         spec = hs.SampleSpec(gamma=0.4, seed=7, use_raw_scores=raw)
         res = hs.sample(g, spec, x=x, labels=ds.labels)
-        return subgraph_metrics(res.subgraph, res.features)
+        return subgraph_metrics(res.subgraph.n, res.subgraph.edges, res.features)
 
     raw, standardized = metrics(True), metrics(False)
     assert raw != standardized  # the two score choices keep different nodes here

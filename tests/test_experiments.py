@@ -52,7 +52,7 @@ def test_subgraph_metrics_fields():
     g = random_graph(rng, 30, 0.2)
     x = rng.standard_normal((30, 4))
     res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5))
-    m = subgraph_metrics(res.subgraph, res.features)
+    m = subgraph_metrics(res.subgraph.n, res.subgraph.edges, res.features)
     assert m["laplacian_trace"] == 2.0 * res.subgraph.m
     assert m["adjusted_trace"] == pytest.approx(2.0 * res.subgraph.m / res.subgraph.n)
     assert m["laplacian_rank"] + m["components"] == res.subgraph.n

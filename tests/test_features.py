@@ -148,3 +148,30 @@ def test_normalizer_transform_reuses_affine_map():
     other = rng.standard_normal((12, 4))
     expected = (other - x.mean(axis=0)) / (np.sqrt(4) * x.std(axis=0))
     assert np.allclose(xh.transform(other), expected, atol=1e-12)
+
+
+def _normalize_by_mean_std(x):
+    """The standardization's earlier form: ``x.mean(0)`` and ``x.std(0)``, centring twice."""
+    d = x.shape[1]
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    valid = sigma > 0.0
+    scale = np.zeros(d)
+    scale[valid] = 1.0 / (np.sqrt(d) * sigma[valid])
+    return (x - mu) * scale, valid, mu, scale
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 3), (97, 16), (500, 1433)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_normalize_equals_mean_std_form_bit_for_bit(shape, layout):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    x = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape[1]) + rng.uniform(-1e6, 1e6, shape[1])
+    x[:, 0] = 0.1  # constant, but its computed mean need not be exactly 0.1
+    if shape[1] > 2:
+        x[:, 2] = -3.0
+    x = np.asfortranarray(x) if layout == "F" else x
+    got = hs.normalize_features(x)
+    values, valid, mu, scale = _normalize_by_mean_std(x)
+    for a, b in ((got.values, values), (got.valid_mask, valid), (got.mean, mu), (got.scale, scale)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()

@@ -248,3 +248,37 @@ def test_graph_arrays_are_readonly():
     g = path_graph(3)
     with pytest.raises(ValueError):
         g.indices[0] = 5
+
+
+def _keep(kind, g, x):
+    if kind in ("random", "homophily", "degree_greedy"):
+        spec = hs.SampleSpec(gamma=0.4, method=kind, seed=5)
+        return hs.sampling.sample_ids(g, spec, x=x)
+    return {
+        "all": np.arange(g.n),
+        "one-node": np.array([7]),
+        "no-edges": np.arange(60, g.n),  # the isolated nodes only
+        "one-edge": np.array([int(g.edges()[0][0]), int(g.edges()[1][0]), 61]),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "homophily", "degree_greedy", "all", "one-node", "no-edges", "one-edge"]
+)
+def test_induced_edges_equal_the_induced_subgraphs_edge_view(kind):
+    rng = np.random.default_rng(11)
+    g = hs.build_graph(random_edge_pairs(rng, 60, 0.08), n=70)  # nodes 60-69 are isolated
+    assert g.degrees()[60:].sum() == 0 and g.m > 0
+    x = rng.standard_normal((g.n, 3))
+    keep = _keep(kind, g, x)
+    u, v = hs.graph.induced_edges(g.n, g.edges(), keep)
+    want_u, want_v = hs.induced_subgraph(g, keep).edges()
+    assert u.dtype == v.dtype == np.int64
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+    assert (u.size == 0) == (kind in ("one-node", "no-edges"))
+
+
+def test_induced_edges_of_an_edgeless_graph_are_empty():
+    g = hs.build_graph([], n=5)
+    u, v = hs.graph.induced_edges(g.n, g.edges(), np.array([1, 3]))
+    assert u.size == v.size == 0 and u.dtype == v.dtype == np.int64

@@ -3,6 +3,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -598,3 +599,26 @@ def test_serial_writes_never_fork(where, tmp_path, monkeypatch):
     else:
         write_labels_csv(a, tmp_path / "y.csv")
         assert (tmp_path / "y.csv").read_text() == want
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()``, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_edge_list_writer_makes_no_edge_table_copy(cpus, tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 50_000
+    g = hs.build_graph(rng.integers(0, n, size=(250_000, 2)), n=n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    view_peak = _traced_peak(g.edges)
+    write_peak = _traced_peak(lambda: write_edge_list(g, tmp_path / "g.txt"))
+    # an (m, 2) int64 copy of the edges would add 16 bytes per edge
+    assert write_peak < view_peak + g.m
+    assert read_edge_list(tmp_path / "g.txt").indices.tolist() == g.indices.tolist()

@@ -6,7 +6,7 @@ import pytest
 import homsample as hs
 from homsample import _kernels
 
-from util import dense_laplacian, random_graph
+from util import dense_laplacian, random_edge_pairs, random_graph
 
 
 def bfs_labels_reference(g):
@@ -129,3 +129,55 @@ def test_greedy_order_at_each_budget_is_a_prefix_of_the_largest():
         for k in range(g.n + 1):
             got = _kernels.greedy_min_degree_order(g.indptr, g.indices, k)
             assert got.tolist() == full[:k].tolist()
+
+
+def _edge_distance_sum_2d_gather(u, v, x):
+    """The kernel's earlier form: blocks of rows gathered by 2-d fancy indexing."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    rows = _kernels._chunk_rows(x.shape[1])
+    total = 0.0
+    for lo in range(0, u.shape[0], rows):
+        diff = x[u[lo : lo + rows]] - x[v[lo : lo + rows]]
+        total += float(np.einsum("ij,ij->", diff, diff))
+    return total
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("d", [1, 16, 1433])
+def test_edge_distance_sum_equals_the_2d_gather_bit_for_bit(d, layout):
+    rng = np.random.default_rng(d)
+    n = 300
+    x = rng.standard_normal((n, 2 * d)) * 1e3 + 1e6
+    x = {"C": np.ascontiguousarray(x[:, :d]), "F": np.asfortranarray(x[:, :d]), "strided": x[:, ::2]}[layout]
+    assert x.shape == (n, d)
+    m = 3 * _kernels._chunk_rows(d) + 17  # several blocks, the last one partial
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    assert _kernels.edge_distance_sum(u, v, x) == _edge_distance_sum_2d_gather(u, v, x)
+    none = np.zeros(0, dtype=np.int64)
+    assert _kernels.edge_distance_sum(none, none, x) == 0.0
+
+
+def _component_labels_by_unique(n, u, v):
+    """The labels' earlier numbering: hook-and-jump roots, then np.unique's inverse."""
+    root = np.arange(n, dtype=np.int64)
+    while True:
+        hooked = root.copy()
+        ru, rv = root[u], root[v]
+        np.minimum.at(hooked, ru, rv)
+        np.minimum.at(hooked, rv, ru)
+        hooked = _kernels._jump(hooked)
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    roots, labels = np.unique(root, return_inverse=True)
+    return int(roots.size), labels.astype(np.int64, copy=False)
+
+
+@pytest.mark.parametrize("n,p", [(1, 0.0), (7, 0.0), (50, 0.02), (200, 0.01), (200, 0.05), (400, 0.003)])
+def test_component_labels_equal_the_unique_numbering(n, p):
+    rng = np.random.default_rng(n + int(1000 * p))
+    u, v = hs.build_graph(random_edge_pairs(rng, n, p), n=n).edges()
+    count, labels = _kernels.component_labels(n, u, v)
+    want_count, want = _component_labels_by_unique(n, u, v)
+    assert count == want_count
+    assert labels.dtype == np.int64 and np.array_equal(labels, want)
