@@ -56,39 +56,22 @@ def _chunk_rows(d: int) -> int:
     return max(1, min(_CHUNK, (_MMAP_THRESHOLD - 1) // (8 * max(1, d))))
 
 
-# Bytes of edge rows gathered and subtracted at a time inside a block, small
-# enough that a piece is still in the core's cache when it is subtracted.
-_PIECE_BYTES = 1 << 18
-
-
 def edge_distance_sum(u, v, x) -> float:
     """Sum of squared row distances of ``x`` over the undirected edges ``(u, v)``.
 
-    Ids lie in [0, n). Each block of edges is filled piece by piece: the
-    ``x[u]`` rows of a piece are gathered as fixed-width records (one
-    ``memcpy`` each) straight into the block, and the piece's ``x[v]`` rows
-    are subtracted while it is in cache. The block then goes to one
-    ``einsum``, so the sum is the float that a 2-d gather of the block gives.
+    Rows are gathered as fixed-width records (one ``memcpy`` each), which
+    is faster than 2-d fancy indexing and yields the same floats.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n, d = x.shape
-    m = u.shape[0]
     if d == 0:
         return 0.0
     rec = x.view(np.dtype((np.void, 8 * d))).reshape(n)
     rows = _chunk_rows(d)
-    piece = max(1, _PIECE_BYTES // (8 * d))
-    buf = np.empty(min(rows, m), dtype=rec.dtype)
     total = 0.0
-    for lo in range(0, m, rows):
-        blk = buf[: min(rows, m - lo)]
-        diff = blk.view(np.float64).reshape(-1, d)
-        for s in range(0, blk.shape[0], piece):
-            e = min(s + piece, blk.shape[0])
-            # mode="wrap": the default "raise" buffers ``out``; v's gather still raises
-            np.take(rec, u[lo + s : lo + e], out=blk[s:e], mode="wrap")
-            b = rec[v[lo + s : lo + e]].view(np.float64).reshape(-1, d)
-            np.subtract(diff[s:e], b, out=diff[s:e])
+    for lo in range(0, u.shape[0], rows):
+        diff = rec[u[lo : lo + rows]].view(np.float64).reshape(-1, d)
+        np.subtract(diff, rec[v[lo : lo + rows]].view(np.float64).reshape(-1, d), out=diff)
         total += float(np.einsum("ij,ij->", diff, diff))
     return total
 
