@@ -26,14 +26,7 @@ from .graph import (
     laplacian_trace,
 )
 from .graphon import GraphonSpec, generate_dataset, homophilic_features, sample_graphon_graph
-from .sampling import (
-    SampleResult,
-    SampleSpec,
-    sample,
-    sample_degree_greedy,
-    sample_homophily,
-    sample_random,
-)
+from .sampling import SampleResult, SampleSpec, sample
 from .spectral import conv_span_dimension, leverage_identity_check, numerical_rank
 
 __version__ = "0.1.0"

@@ -79,6 +79,18 @@ def _rate_list(text: str) -> tuple[float, ...]:
     return rates
 
 
+def _method_list(text: str) -> tuple[str, ...]:
+    methods = tuple(text.split(","))
+    for i, name in enumerate(methods):
+        if name not in METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown sampling method {name!r} in {text!r}; expected one of {METHODS}"
+            )
+        if name in methods[:i]:
+            raise argparse.ArgumentTypeError(f"duplicate sampling method {name!r} in {text!r}")
+    return methods
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -213,7 +225,7 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    methods = tuple(args.methods.split(","))
+    methods = args.methods
     if args.synth:
         if args.features or args.labels:
             raise UsageError("--synth generates its own features and labels")
@@ -303,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features")
     p.add_argument("--labels")
     p.add_argument("--rates", type=_rate_list, required=True)
-    p.add_argument("--methods", default="homophily,random")
+    p.add_argument("--methods", type=_method_list, default="homophily,random")
     p.add_argument("--reps", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metrics-only", action="store_true")

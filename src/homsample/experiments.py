@@ -11,6 +11,7 @@ fixed plan; wall-clock sidecars are the only non-deterministic files.
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import math
 import time
@@ -144,7 +145,7 @@ def run_cell(
     the GNN, seeded with ``spec.seed``, is fit on the induced subgraph and
     the report carries its accuracy on the nodes the sample did not keep,
     or on every node when it kept them all. ``greedy`` is the sweep's
-    shared degree-greedy deletion order (see ``sampling.sample``).
+    shared degree-greedy deletion order (see ``sampling.sample_ids``).
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -302,10 +303,10 @@ def _csv_cell(value) -> str:
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    with open(Path(path), "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row.get(c)) for c in SUMMARY_COLUMNS) + "\n")
+    with open(Path(path), "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(SUMMARY_COLUMNS)
+        out.writerows([_csv_cell(row.get(c)) for c in SUMMARY_COLUMNS] for row in rows)
 
 
 # The running sweep's (cells, graph, features, labels, gnn, dataset id, greedy

@@ -18,7 +18,7 @@ shifted once, G = [g | Sg | ...]; with S symmetric, Z^T G is the stacked
 tap gradient and G @ W^T the layer-input gradient. Training keeps the
 stacked matrices as views into one flat parameter vector, so Adam with
 decoupled weight decay is a few whole-vector operations; ``GnnModel``
-holds the per-tap matrices. Everything is float64 numpy and deterministic
+holds the stacked matrices too. Everything is float64 numpy and deterministic
 for a fixed seed.
 """
 
@@ -84,7 +84,8 @@ class GnnConfig:
 class GnnModel:
     """Trained filterbank weights plus the feature normalizer fitted at training."""
 
-    weights: list[list[np.ndarray]]  # weights[layer][tap]: (d_prev, d_next)
+    # weights[l]: layer l's stacked taps, (K d_prev x d_next) at l = 0, (d_prev x K d_next) after
+    weights: list[np.ndarray]
     config: GnnConfig
     n_classes: int
     normalizer: NormalizedFeatures | None = None
@@ -153,16 +154,6 @@ def _horner(s, y, taps: int) -> np.ndarray:
     return a
 
 
-def _stack(taps, layer: int) -> np.ndarray:
-    """A layer's tap matrices as one: stacked by rows at layer 0, by columns after it."""
-    return np.vstack(taps) if layer == 0 else np.hstack(taps)
-
-
-def _unstack(w, layer: int, taps: int) -> list[np.ndarray]:
-    """The per-tap matrices of a stacked layer, as independent arrays."""
-    return [h.copy() for h in np.split(w, taps, axis=0 if layer == 0 else 1)]
-
-
 def _views(flat, shapes) -> list[np.ndarray]:
     """Consecutive 2-d views of one flat vector, one per shape."""
     views, start = [], 0
@@ -175,7 +166,7 @@ def _views(flat, shapes) -> list[np.ndarray]:
 def _forward(weights, s, xs, cfg) -> list[np.ndarray]:
     """Every layer's input, then the logits: [xs, z_1, ..., z_(L-1), logits].
 
-    ``weights`` are the stacked tap matrices (``_stack``) and ``xs`` the
+    ``weights`` are the stacked tap matrices and ``xs`` the
     first layer's shifted inputs (``_shift_stack`` of the features).
     """
     zs = [xs]
@@ -191,12 +182,10 @@ def forward(model: GnnModel, g: Graph, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != g.n:
         raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
-    if x.shape[1] != model.weights[0][0].shape[0]:
-        raise ValueError(
-            f"features have width {x.shape[1]}, model expects {model.weights[0][0].shape[0]}"
-        )
-    weights = [_stack(taps, l) for l, taps in enumerate(model.weights)]
-    return _forward(weights, s, _shift_stack(s, x, model.config.taps), model.config)[-1]
+    d_in = model.weights[0].shape[0] // model.config.taps
+    if x.shape[1] != d_in:
+        raise ValueError(f"features have width {x.shape[1]}, model expects {d_in}")
+    return _forward(model.weights, s, _shift_stack(s, x, model.config.taps), model.config)[-1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -221,7 +210,7 @@ def loss_and_grads(weights, grads, s, xs, idx, y, cfg) -> float:
     """Cross-entropy loss over the nodes ``idx`` with labels ``y``.
 
     Writes the loss's gradient w.r.t. each stacked tap matrix of
-    ``weights`` (``_stack``) into the same-shaped array of ``grads``.
+    ``weights`` into the same-shaped array of ``grads``.
     ``xs`` is the first layer's ``_shift_stack`` of the features; training
     computes it, ``idx`` and ``y`` once for all epochs.
     """
@@ -249,16 +238,18 @@ def loss_and_grads(weights, grads, s, xs, idx, y, cfg) -> float:
     return loss
 
 
-def init_weights(cfg: GnnConfig, d_in: int, n_classes: int) -> list[list[np.ndarray]]:
-    """Seeded uniform init scaled by fan-in (including the tap count)."""
+def init_weights(cfg: GnnConfig, d_in: int, n_classes: int) -> list[np.ndarray]:
+    """Seeded uniform init scaled by fan-in (including the tap count), stacked as in ``GnnModel``.
+
+    Each layer's taps are drawn in turn, tap 0 first, then stacked.
+    """
     dims = cfg.dims(d_in, n_classes)
     rng = np.random.default_rng(cfg.seed)
     weights = []
     for l in range(cfg.layers):
         bound = np.sqrt(1.0 / (cfg.taps * dims[l]))
-        weights.append(
-            [rng.uniform(-bound, bound, size=(dims[l], dims[l + 1])) for _ in range(cfg.taps)]
-        )
+        taps = [rng.uniform(-bound, bound, size=(dims[l], dims[l + 1])) for _ in range(cfg.taps)]
+        weights.append(np.vstack(taps) if l == 0 else np.hstack(taps))
     return weights
 
 
@@ -285,7 +276,7 @@ def train(g: Graph, x, labels, train_mask, cfg: GnnConfig, n_classes: int | None
 
     normalizer = normalize_features(x)
     s = shift_matrix(g, cfg.shift)
-    init = [_stack(taps, l) for l, taps in enumerate(init_weights(cfg, x.shape[1], n_classes))]
+    init = init_weights(cfg, x.shape[1], n_classes)
     shapes = [w.shape for w in init]
     # every stacked tap matrix is a view into theta, every gradient one into grad
     theta = np.concatenate([w.ravel() for w in init])
@@ -313,7 +304,7 @@ def train(g: Graph, x, labels, train_mask, cfg: GnnConfig, n_classes: int | None
         step += cfg.weight_decay * theta  # decoupled weight decay, outside the adaptive step
         theta -= cfg.lr * step
     return GnnModel(
-        weights=[_unstack(w, l, cfg.taps) for l, w in enumerate(weights)],
+        weights=weights,
         config=cfg,
         n_classes=n_classes,
         normalizer=normalizer,

@@ -35,10 +35,6 @@ class Graph:
         del src  # one edge-sized array fewer at the peak
         return u, self.indices[once]
 
-    def edge_array(self) -> np.ndarray:
-        """The edges of ``edges()`` as one (m, 2) array."""
-        return np.column_stack(self.edges())
-
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array, flattened (as ``np.unique``).

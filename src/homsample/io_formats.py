@@ -512,25 +512,6 @@ def write_sample(result: SampleResult, outdir) -> None:
             (outdir / name).unlink(missing_ok=True)
 
 
-def read_kept(path) -> np.ndarray:
-    """One original node id per line."""
-    return _read(path, partial(_one_column, dtype=np.int64), _read_kept_lines)
-
-
-def _read_kept_lines(path: Path) -> np.ndarray:
-    ids = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer node id {line!r}") from None
-    return np.asarray(ids, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # metrics reports
 

@@ -1,11 +1,10 @@
 """Node subsamplers: the homophily score heuristic plus two baselines.
 
 All samplers keep exactly n - floor((1 - gamma) * n) nodes. ``sample_ids``
-returns just the kept ids (a sorted int64 array of original node ids); the
-``sample*`` functions also return the induced subgraph and the kept rows of
-the raw features/labels. Restricted features are
-deliberately NOT re-standardized here; consumers (e.g. GNN training)
-normalize on the subsample themselves.
+returns just the kept ids (a sorted int64 array of original node ids);
+``sample`` also returns the induced subgraph and the kept rows of the raw
+features/labels. Restricted features are deliberately NOT re-standardized
+here; consumers (e.g. GNN training) normalize on the subsample themselves.
 """
 
 from __future__ import annotations
@@ -56,14 +55,6 @@ def deletion_budget(n: int, gamma: float) -> int:
     return int(np.floor((1.0 - gamma) * n))
 
 
-def _restrict(g: Graph, kept: np.ndarray, x, labels) -> SampleResult:
-    """The sample of the sorted distinct ids ``kept``."""
-    sub = induced_subgraph(g, kept)
-    xr = None if x is None else np.asarray(x)[kept]
-    yr = None if labels is None else np.asarray(labels)[kept]
-    return SampleResult(kept=kept, subgraph=sub, features=xr, labels=yr)
-
-
 def _keep_count(n: int, gamma: float) -> int:
     keep = n - deletion_budget(n, gamma)
     if keep < 1:
@@ -80,52 +71,6 @@ def lowest_score_nodes(scores: np.ndarray, gamma: float) -> np.ndarray:
     return np.sort(order[: _keep_count(scores.shape[0], gamma)])
 
 
-def _homophily_ids(g: Graph, x: np.ndarray, spec: SampleSpec) -> np.ndarray:
-    """Kept ids of ``sample_homophily``; ``x`` has passed ``as_feature_matrix``."""
-    if x.shape[0] != g.n:
-        raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
-    scores = node_scores(x if spec.use_raw_scores else normalize_features(x))
-    return lowest_score_nodes(scores, spec.gamma)
-
-
-def _random_ids(g: Graph, spec: SampleSpec) -> np.ndarray:
-    keep_n = _keep_count(g.n, spec.gamma)
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    return np.sort(rng.choice(g.n, size=keep_n, replace=False))
-
-
-def _degree_greedy_ids(g: Graph, spec: SampleSpec, order: np.ndarray | None) -> np.ndarray:
-    n_remove = g.n - _keep_count(g.n, spec.gamma)
-    if order is None:
-        order = greedy_order(g, (spec.gamma,))
-    elif order.shape[0] < n_remove:
-        raise ValueError(f"greedy order holds {order.shape[0]} deletions, need {n_remove}")
-    kept_mask = np.ones(g.n, dtype=bool)
-    kept_mask[order[:n_remove]] = False
-    return np.flatnonzero(kept_mask)
-
-
-def sample_homophily(g: Graph, x, spec: SampleSpec, labels=None) -> SampleResult:
-    """Drop the floor((1-gamma)n) nodes with the largest feature scores.
-
-    Scores are squared row norms of the standardized features (of the raw
-    features when ``spec.use_raw_scores``), computed exactly once; ties keep
-    the smaller node index. One-shot by construction: no recomputation as
-    nodes are removed.
-    """
-    x = as_feature_matrix(x)
-    return _restrict(g, _homophily_ids(g, x, spec), x, labels)
-
-
-def sample_random(g: Graph, spec: SampleSpec, x=None, labels=None) -> SampleResult:
-    """Keep a uniformly random node subset of the budgeted size.
-
-    Uses a counter-based (Philox) generator so distinct seeds give
-    independent, reproducible draws under parallel execution.
-    """
-    return _restrict(g, _random_ids(g, spec), x, labels)
-
-
 def greedy_order(g: Graph, gammas) -> np.ndarray:
     """Greedy deletion order at the largest deletion budget of the keep rates ``gammas``.
 
@@ -136,35 +81,50 @@ def greedy_order(g: Graph, gammas) -> np.ndarray:
     return _kernels.greedy_min_degree_order(g.indptr, g.indices, budget)
 
 
-def sample_degree_greedy(
-    g: Graph, spec: SampleSpec, x=None, labels=None, order: np.ndarray | None = None
-) -> SampleResult:
-    """Iteratively delete the minimum-degree node, recomputing degrees.
-
-    The sequential baseline that maximizes the remaining Laplacian trace
-    greedily; ties delete the smaller index first. ``order``, a deletion
-    order from ``greedy_order`` at a budget at least this one's, saves
-    recomputing it; the sample is the same either way.
-    """
-    return _restrict(g, _degree_greedy_ids(g, spec, order), x, labels)
-
-
 def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
     """Sorted kept ids of the sampler named by ``spec.method``.
 
-    ``greedy`` is an optional shared deletion order for ``degree_greedy``
-    (see ``sample_degree_greedy``); the other methods ignore it.
+    - ``homophily`` drops the nodes with the largest feature scores: squared
+      row norms of the standardized ``x`` (of the raw ``x`` when
+      ``spec.use_raw_scores``), computed exactly once; ties keep the smaller
+      node index. One-shot by construction: no recomputation as nodes are
+      removed.
+    - ``random`` keeps a uniformly random subset. Its counter-based (Philox)
+      generator makes distinct seeds give independent, reproducible draws
+      under parallel execution.
+    - ``degree_greedy`` iteratively deletes the minimum-degree node,
+      recomputing degrees: the sequential baseline that maximizes the
+      remaining Laplacian trace greedily; ties delete the smaller index
+      first. ``greedy``, a deletion order from ``greedy_order`` at a budget
+      at least this one's, saves recomputing it; the sample is the same
+      either way. The other methods ignore it.
     """
     method = spec.method
     if method == "homophily":
         if x is None:
             raise ValueError("homophily sampling requires node features")
-        return _homophily_ids(g, as_feature_matrix(x), spec)
+        x = as_feature_matrix(x)
+        if x.shape[0] != g.n:
+            raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
+        scores = node_scores(x if spec.use_raw_scores else normalize_features(x))
+        return lowest_score_nodes(scores, spec.gamma)
+    keep_n = _keep_count(g.n, spec.gamma)
     if method == "random":
-        return _random_ids(g, spec)
-    return _degree_greedy_ids(g, spec, greedy)
+        rng = np.random.Generator(np.random.Philox(spec.seed))
+        return np.sort(rng.choice(g.n, size=keep_n, replace=False))
+    n_remove = g.n - keep_n
+    if greedy is None:
+        greedy = greedy_order(g, (spec.gamma,))
+    elif greedy.shape[0] < n_remove:
+        raise ValueError(f"greedy order holds {greedy.shape[0]} deletions, need {n_remove}")
+    kept_mask = np.ones(g.n, dtype=bool)
+    kept_mask[greedy[:n_remove]] = False
+    return np.flatnonzero(kept_mask)
 
 
 def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> SampleResult:
-    """The sample of ``sample_ids``, with the kept rows of ``x`` and ``labels``."""
-    return _restrict(g, sample_ids(g, spec, x=x, greedy=greedy), x, labels)
+    """The sample of ``sample_ids``: its subgraph and the kept rows of ``x`` and ``labels``."""
+    kept = sample_ids(g, spec, x=x, greedy=greedy)
+    xr = None if x is None else np.asarray(x)[kept]
+    yr = None if labels is None else np.asarray(labels)[kept]
+    return SampleResult(kept=kept, subgraph=induced_subgraph(g, kept), features=xr, labels=yr)

@@ -15,7 +15,6 @@ from homsample.gnn import (
     GnnConfig,
     GnnModel,
     _shift_stack,
-    _stack,
     init_weights,
     loss_and_grads,
     shift_matrix,
@@ -137,7 +136,7 @@ def test_algorithm1_conformance():
             x = np.sqrt(rng.integers(0, 5, size=(n, 1)).astype(float))  # tied scores
             use_raw = True
         gamma = float(rng.choice(GAMMA_GRID))
-        res = hs.sample_homophily(g, x, SampleSpec(gamma=gamma, use_raw_scores=use_raw))
+        res = hs.sample(g, SampleSpec(gamma=gamma, use_raw_scores=use_raw), x=x)
         scores = (
             np.einsum("ij,ij->i", x, x)
             if use_raw
@@ -151,7 +150,7 @@ def test_algorithm1_conformance():
     for gamma in GAMMA_GRID:
         for n in (1, 2, 5, 17, 64, 321):
             g = random_graph(rng, n, 0.2)
-            res = hs.sample_homophily(g, rng.standard_normal((n, 3)), SampleSpec(gamma=gamma))
+            res = hs.sample(g, SampleSpec(gamma=gamma), x=rng.standard_normal((n, 3)))
             assert len(res.kept) == n - int(np.floor((1.0 - gamma) * n))
     _passline("algorithm1-conformance", f"{checked} instances incl. ties match brute force")
 
@@ -180,7 +179,7 @@ def test_gradient_correctness():
     labels = rng.integers(0, 3, size=n)
     mask = np.ones(n, dtype=bool)
     cfg = GnnConfig(layers=2, taps=2, hidden=8, seed=0)
-    w = [_stack(taps, l) for l, taps in enumerate(init_weights(cfg, 5, 3))]
+    w = init_weights(cfg, 5, 3)
     s = shift_matrix(g, cfg.shift)
     xs = _shift_stack(s, x, cfg.taps)
     idx = np.flatnonzero(mask)
@@ -220,7 +219,7 @@ def test_permutation_equivariance():
         x = rng.standard_normal((n, d))
         base = hs.forward(model, g, x)
         perm = rng.permutation(n)
-        gp = hs.build_graph(perm[g.edge_array()], n=n) if g.m else hs.build_graph([], n=n)
+        gp = hs.build_graph(perm[np.column_stack(g.edges())], n=n) if g.m else hs.build_graph([], n=n)
         xp = np.empty_like(x)
         xp[perm] = x
         diff = float(np.max(np.abs(hs.forward(model, gp, xp)[perm] - base)))
@@ -240,11 +239,11 @@ def test_trace_preservation_trend():
         )
         wins = 0
         for gamma in rates:
-            res = hs.sample_homophily(ds.graph, ds.features, SampleSpec(gamma=gamma))
+            res = hs.sample(ds.graph, SampleSpec(gamma=gamma), x=ds.features)
             t_alg = hs.adjusted_trace(res.subgraph)
             rnd = [
                 hs.adjusted_trace(
-                    hs.sample_random(
+                    hs.sample(
                         ds.graph, SampleSpec(gamma=gamma, method="random", seed=ms * 100 + r)
                     ).subgraph
                 )

@@ -15,11 +15,10 @@ import pytest
 import homsample as hs
 from homsample import experiments
 from homsample.cli import main
-from homsample.experiments import subgraph_metrics
+from homsample.experiments import SUMMARY_COLUMNS, subgraph_metrics
 from homsample.io_formats import (
     read_edge_list,
     read_features_csv,
-    read_kept,
     read_report,
     report_to_text,
     write_edge_list,
@@ -94,7 +93,7 @@ def test_sample_hand_example(tmp_path, capsys):
         "--gamma", "0.5", "--method", "homophily", "--use-raw-scores", "--out", str(out),
     ])
     assert rc == 0
-    assert read_kept(out / "kept.txt").tolist() == [1, 3]
+    assert np.loadtxt(out / "kept.txt", dtype=np.int64).tolist() == [1, 3]
 
 
 def test_sample_gamma_one_keeps_all(p3_dir):
@@ -104,7 +103,7 @@ def test_sample_gamma_one_keeps_all(p3_dir):
         "--gamma", "1.0", "--out", str(out),
     ])
     assert rc == 0
-    assert read_kept(out / "kept.txt").tolist() == [0, 1, 2]
+    assert np.loadtxt(out / "kept.txt", dtype=np.int64).tolist() == [0, 1, 2]
 
 
 def test_sample_random_seeded_reproducible(tmp_path):
@@ -127,7 +126,7 @@ def test_sample_degree_greedy_needs_no_features(tmp_path, capsys):
     assert main(greedy + ["--features", str(tmp_path / "x.csv"), "--out", str(tmp_path / "with_x")]) == 0
     kept = (tmp_path / "plain" / "kept.txt").read_bytes()
     assert kept == (tmp_path / "with_x" / "kept.txt").read_bytes()
-    assert read_kept(tmp_path / "plain" / "kept.txt").tolist() == [1, 2, 3]
+    assert np.loadtxt(tmp_path / "plain" / "kept.txt", dtype=np.int64).tolist() == [1, 2, 3]
     assert not (tmp_path / "plain" / "features.csv").exists()
     capsys.readouterr()
     # the score sampler is the one that reads features
@@ -147,7 +146,7 @@ def test_sample_into_a_used_directory_leaves_no_older_table(tmp_path):
     assert len(read_features_csv(out / "features.csv")) == 5
     (out / "notes.txt").write_text("kept by the user\n")
     assert main(args + ["--method", "random", "--gamma", "0.3"]) == 0
-    assert len(read_kept(out / "kept.txt")) == 3
+    assert len(np.loadtxt(out / "kept.txt", dtype=np.int64)) == 3
     assert sorted(p.name for p in out.iterdir()) == ["edges.txt", "id_map.txt", "kept.txt", "notes.txt"]
     assert main(args + ["--labels", str(tmp_path / "y.csv"), "--method", "random", "--gamma", "0.3"]) == 0
     assert (out / "labels.csv").exists() and not (out / "features.csv").exists()
@@ -350,6 +349,42 @@ def test_experiment_from_files_with_training(tmp_path):
     assert summary[1].split(",")[0] == "g"  # dataset id from the graph file stem
     rep = read_report(next(iter(out.glob("report__*.json"))))
     assert rep.accuracy is not None
+
+
+def test_experiment_summary_reads_back_with_csv_reader(tmp_path):
+    write_edge_list(path_graph(6), tmp_path / "my,graph.txt")
+    out = tmp_path / "exp"
+    rc = main([
+        "experiment", "--graph", str(tmp_path / "my,graph.txt"), "--rates", "0.5,1.0",
+        "--methods", "random", "--reps", "2", "--metrics-only", "--out", str(out),
+    ])
+    assert rc == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(SUMMARY_COLUMNS)
+    assert [len(r) for r in rows] == [len(SUMMARY_COLUMNS)] * 3
+    assert [dict(zip(rows[0], r))["dataset"] for r in rows[1:]] == ["my,graph"] * 2
+
+
+@pytest.mark.parametrize("methods, named", [
+    ("homophily,bogus", "'bogus'"),
+    ("homophily, random", "' random'"),
+    ("", "''"),
+    ("random,degree_greedy,random", "duplicate sampling method 'random'"),
+])
+def test_bad_methods_are_usage_errors_before_any_read(tmp_path, capsys, methods, named):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    out = tmp_path / "out"
+    rc = main([
+        "experiment", "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+        "--rates", "0.5", "--methods", methods, "--metrics-only", "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--methods" in err and named in err
+    assert not out.exists()
+    assert not (tmp_path / "__homsample_cache__").exists()  # no input was read
 
 
 def test_bench_dims_sweep(tmp_path):

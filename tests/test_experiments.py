@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 import time
 
@@ -7,6 +8,7 @@ import pytest
 import homsample as hs
 from homsample import experiments
 from homsample.experiments import (
+    SUMMARY_COLUMNS,
     ExperimentPlan,
     expand_cells,
     loglog_slope,
@@ -15,6 +17,7 @@ from homsample.experiments import (
     run_experiment,
     subgraph_metrics,
     summarize,
+    write_summary_csv,
 )
 from homsample.gnn import GnnConfig
 from homsample.graphon import two_block_spec
@@ -51,7 +54,7 @@ def test_subgraph_metrics_fields():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 30, 0.2)
     x = rng.standard_normal((30, 4))
-    res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5))
+    res = hs.sample(g, SampleSpec(gamma=0.5), x=x)
     m = subgraph_metrics(res.subgraph.n, res.subgraph.edges, res.features)
     assert m["laplacian_trace"] == 2.0 * res.subgraph.m
     assert m["adjusted_trace"] == pytest.approx(2.0 * res.subgraph.m / res.subgraph.n)
@@ -80,6 +83,20 @@ def test_summarize_orders_rows_by_plan():
     rows = run_experiment(plan, g, x=rng.standard_normal((25, 3)))
     assert [(r["gamma"], r["method"]) for r in rows] == [(0.25, "random"), (0.75, "random")]
     assert all(r["runs"] == 2 for r in rows)
+
+
+def test_summary_csv_quotes_only_cells_that_need_it(tmp_path):
+    plain = {"dataset": "g", "gamma": 0.5, "method": "random", "runs": 2, "adjusted_trace_mean": 1.25,
+             "adjusted_trace_se": 0.0, "h_g_mean": -0.125, "components_mean": 3.0, "errors": ""}
+    odd = dict(plain, dataset="my,graph", runs=1, errors='rep001: bad cell "x", line 2')
+    write_summary_csv([plain, odd], tmp_path / "summary.csv")
+    text = (tmp_path / "summary.csv").read_text()
+    # plain values need no quotes: the bytes are the bare comma-joined cells
+    assert text.splitlines()[:2] == [",".join(SUMMARY_COLUMNS), "g,0.5,random,2,1.25,0,-0.125,3,,,"]
+    rows = list(csv.reader(text.splitlines()))
+    assert [len(r) for r in rows] == [len(SUMMARY_COLUMNS)] * 3
+    back = dict(zip(rows[0], rows[2]))
+    assert back["dataset"] == "my,graph" and back["errors"] == odd["errors"]
 
 
 def test_train_eval_cells_populate_accuracy():

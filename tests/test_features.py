@@ -92,7 +92,7 @@ def test_homophily_permutation_invariant():
     g = random_graph(rng, n, 0.2)
     x = rng.standard_normal((n, 3))
     perm = rng.permutation(n)
-    gp = hs.build_graph(perm[g.edge_array()], n=n)
+    gp = hs.build_graph(perm[np.column_stack(g.edges())], n=n)
     xp = np.empty_like(x)
     xp[perm] = x
     h = hs.feature_homophily(g, hs.normalize_features(x))

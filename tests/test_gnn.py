@@ -13,8 +13,6 @@ from homsample.gnn import (
     GnnModel,
     _shift_stack,
     _softmax,
-    _stack,
-    _unstack,
     init_weights,
     loss_and_grads,
     shift_matrix,
@@ -26,6 +24,21 @@ from util import adjacency_dense, dense_laplacian, random_edge_pairs, random_gra
 def make_model(rng_seed, d_in, n_classes, **cfg_kw):
     cfg = GnnConfig(seed=rng_seed, **cfg_kw)
     return GnnModel(weights=init_weights(cfg, d_in, n_classes), config=cfg, n_classes=n_classes)
+
+
+def per_tap(w, layer, taps):
+    """A stacked layer's tap matrices: its row blocks at layer 0, its column blocks after it."""
+    return np.split(w, taps, axis=0 if layer == 0 else 1)
+
+
+def test_init_weights_stack_the_taps_in_draw_order():
+    cfg = GnnConfig(layers=3, taps=3, hidden=4, seed=7)
+    dims = cfg.dims(5, 2)
+    rng = np.random.default_rng(cfg.seed)
+    for l, w in enumerate(init_weights(cfg, 5, 2)):
+        bound = np.sqrt(1.0 / (cfg.taps * dims[l]))
+        drawn = [rng.uniform(-bound, bound, size=(dims[l], dims[l + 1])) for _ in range(cfg.taps)]
+        assert np.array_equal(w, np.vstack(drawn) if l == 0 else np.hstack(drawn))
 
 
 def test_filterbank_single_tap_is_graph_independent():
@@ -74,7 +87,7 @@ def test_forward_one_layer_single_tap_is_linear():
     g = random_graph(rng, 12, 0.3)
     x = rng.standard_normal((12, 5))
     model = make_model(0, 5, 3, layers=1, taps=1)
-    assert hs.forward(model, g, x) == pytest.approx(x @ model.weights[0][0], abs=1e-12)
+    assert hs.forward(model, g, x) == pytest.approx(x @ model.weights[0], abs=1e-12)
 
 
 def test_forward_permutation_equivariance():
@@ -86,7 +99,7 @@ def test_forward_permutation_equivariance():
     base = hs.forward(model, g, x)
     for _ in range(5):
         perm = rng.permutation(n)
-        gp = hs.build_graph(perm[g.edge_array()], n=n)
+        gp = hs.build_graph(perm[np.column_stack(g.edges())], n=n)
         xp = np.empty_like(x)
         xp[perm] = x
         assert hs.forward(model, gp, xp)[perm] == pytest.approx(base, abs=1e-9)
@@ -120,7 +133,7 @@ def test_no_information_flow_across_components():
 
 def stacked_problem(cfg, s, x, labels, mask, n_classes):
     """Stacked init weights, gradient arrays and the epoch invariants loss_and_grads takes."""
-    w = [_stack(taps, l) for l, taps in enumerate(init_weights(cfg, x.shape[1], n_classes))]
+    w = init_weights(cfg, x.shape[1], n_classes)
     idx = np.flatnonzero(mask)
     return w, [np.empty_like(h) for h in w], _shift_stack(s, x, cfg.taps), idx, labels[idx]
 
@@ -228,7 +241,8 @@ def test_forward_and_filterbank_match_dense_powers(taps, layers, activation):
     s = shift_matrix(g, model.config.shift)
     s_dense = s.toarray()
     z = x
-    for l, layer_taps in enumerate(model.weights):
+    for l, w in enumerate(model.weights):
+        layer_taps = per_tap(w, l, taps)
         a = dense_filterbank(s_dense, z, layer_taps)
         for op in (s, s_dense):
             assert np.allclose(hs.conv_filterbank(op, z, layer_taps), a, rtol=0, atol=1e-12)
@@ -244,15 +258,16 @@ def reference_adam_train(g, x, labels, cfg, n_classes):
     s = shift_matrix(g, cfg.shift)
     xs = _shift_stack(s, normalize_features(x).values, cfg.taps)
     idx = np.arange(g.n)
-    weights = init_weights(cfg, x.shape[1], n_classes)
+    init = init_weights(cfg, x.shape[1], n_classes)
+    weights = [per_tap(w, l, cfg.taps) for l, w in enumerate(init)]
     m_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     v_t = [[np.zeros_like(h) for h in taps] for taps in weights]
     history = []
     for epoch in range(cfg.epochs):
-        stacked = [_stack(taps, l) for l, taps in enumerate(weights)]
+        stacked = [np.vstack(taps) if l == 0 else np.hstack(taps) for l, taps in enumerate(weights)]
         grads = [np.empty_like(w) for w in stacked]
         history.append(loss_and_grads(stacked, grads, s, xs, idx, labels[idx], cfg))
-        grads = [_unstack(gw, l, cfg.taps) for l, gw in enumerate(grads)]
+        grads = [per_tap(gw, l, cfg.taps) for l, gw in enumerate(grads)]
         t = epoch + 1
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
@@ -280,8 +295,8 @@ def test_flat_adam_equals_per_tap_adam_bit_for_bit(layers, taps, activation):
     model = hs.train(g, x, labels, np.ones(n, dtype=bool), cfg, n_classes=3)
     ref_weights, ref_history = reference_adam_train(g, x, labels, cfg, 3)
     assert np.array_equal(model.loss_history, ref_history)
-    for got, ref in zip(model.weights, ref_weights):
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
+    for l, (got, ref) in enumerate(zip(model.weights, ref_weights, strict=True)):
+        assert all(np.array_equal(a, b) for a, b in zip(per_tap(got, l, taps), ref, strict=True))
 
 
 def test_trained_weights_are_independent_arrays_of_documented_shapes():
@@ -292,15 +307,14 @@ def test_trained_weights_are_independent_arrays_of_documented_shapes():
     cfg = GnnConfig(layers=3, taps=3, hidden=4, epochs=3, seed=1)
     model = hs.train(g, x, labels, np.ones(20, dtype=bool), cfg)
     dims = cfg.dims(5, 3)
-    flat = [h for taps in model.weights for h in taps]
-    assert [len(taps) for taps in model.weights] == [3, 3, 3]
-    for l, taps in enumerate(model.weights):
-        assert all(h.shape == (dims[l], dims[l + 1]) and h.flags.c_contiguous for h in taps)
-    for i, a in enumerate(flat):
-        assert all(not np.shares_memory(a, b) for b in flat[i + 1:])
-    before = [h.copy() for h in flat]
-    flat[0][...] = 0.0
-    assert all(np.array_equal(a, b) for a, b in zip(flat[1:], before[1:]))
+    shapes = [(3 * dims[0], dims[1]), (dims[1], 3 * dims[2]), (dims[2], 3 * dims[3])]
+    assert [w.shape for w in model.weights] == shapes
+    assert all(w.flags.c_contiguous for w in model.weights)
+    for i, a in enumerate(model.weights):
+        assert all(not np.shares_memory(a, b) for b in model.weights[i + 1:])
+    before = [w.copy() for w in model.weights]
+    model.weights[0][...] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(model.weights[1:], before[1:]))
 
 
 def test_shift_matrix_kinds():
@@ -379,8 +393,7 @@ def test_zero_learning_rate_leaves_weights_at_init():
     model = hs.train(g, x, labels, np.ones(15, dtype=bool), cfg)
     ref = init_weights(cfg, 3, 2)
     for l in range(2):
-        for k in range(2):
-            assert np.array_equal(model.weights[l][k], ref[l][k])
+        assert np.array_equal(model.weights[l], ref[l])
 
 
 def test_train_is_deterministic_for_fixed_seed():
@@ -392,8 +405,7 @@ def test_train_is_deterministic_for_fixed_seed():
     m1 = hs.train(g, x, labels, np.ones(20, dtype=bool), cfg)
     m2 = hs.train(g, x, labels, np.ones(20, dtype=bool), cfg)
     for l in range(cfg.layers):
-        for k in range(cfg.taps):
-            assert np.array_equal(m1.weights[l][k], m2.weights[l][k])
+        assert np.array_equal(m1.weights[l], m2.weights[l])
     assert np.array_equal(m1.loss_history, m2.loss_history)
 
 
@@ -440,7 +452,7 @@ def test_evaluate_hand_cases():
     g = random_graph(rng, 8, 0.3)
     labels = np.zeros(8, dtype=np.int64)
     model = make_model(0, 2, 2, layers=1, taps=1)
-    model.weights[0][0] = np.array([[0.0, 0.0], [0.0, 0.0]])  # constant logits, tie -> class 0
+    model.weights[0] = np.array([[0.0, 0.0], [0.0, 0.0]])  # constant logits, tie -> class 0
     x = rng.standard_normal((8, 2))
     model.normalizer = None
     assert hs.evaluate(model, g, x, labels, np.ones(8, dtype=bool)) == 1.0
@@ -453,7 +465,7 @@ def test_evaluate_perfect_logits():
     labels = np.array([0, 1, 2, 1, 0, 2])
     one_hot = np.eye(3)[labels]  # logits one-hot at the true label
     model = make_model(0, 3, 3, layers=1, taps=1)
-    model.weights[0][0] = np.eye(3)  # identity single-tap: features pass through
+    model.weights[0] = np.eye(3)  # identity single-tap: features pass through
     model.normalizer = None
     g = hs.build_graph([], n=6)
     assert hs.evaluate(model, g, one_hot, labels, np.ones(6, bool)) == 1.0
@@ -480,7 +492,7 @@ def test_transfer_train_small_evaluate_large():
             block_fracs=np.array([0.3, 0.7]),
         )
     )
-    res = hs.sample_homophily(ds.graph, ds.features, hs.SampleSpec(gamma=0.5), labels=ds.labels)
+    res = hs.sample(ds.graph, hs.SampleSpec(gamma=0.5), x=ds.features, labels=ds.labels)
     cfg = GnnConfig(epochs=100, hidden=16, seed=4)
     model = hs.train(
         res.subgraph, res.features, res.labels, np.ones(res.subgraph.n, dtype=bool), cfg,

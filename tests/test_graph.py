@@ -10,7 +10,7 @@ from util import adjacency_dense, complete_graph, dense_laplacian, path_graph, r
 def test_build_symmetrize_dedup_selfloops():
     g = hs.build_graph([(0, 1), (1, 0), (1, 1), (1, 2)])
     assert g.n == 3 and g.m == 2
-    assert g.edge_array().tolist() == [[0, 1], [1, 2]]
+    assert np.column_stack(g.edges()).tolist() == [[0, 1], [1, 2]]
 
 
 def test_build_declared_n_keeps_isolated_nodes():
@@ -71,8 +71,6 @@ def test_edges_equal_the_generated_pairs():
         u, v = g.edges()
         assert np.array_equal(u, pairs[:, 0]) and u.dtype == np.int64
         assert np.array_equal(v, pairs[:, 1]) and v.dtype == np.int64
-        e = g.edge_array()
-        assert e.shape == (g.m, 2) and np.array_equal(e, pairs)
         isolated += int(np.sum(g.degrees() == 0))
     assert isolated > 13  # more than the single node and the edgeless graph
 

@@ -37,7 +37,7 @@ def test_constant_edge_count_within_binomial_band():
 
 def _block_pair_counts(g, block, k):
     """Edges per unordered block pair (a <= c), and the pairs of nodes available."""
-    e = g.edge_array()
+    e = np.column_stack(g.edges())
     a, c = np.sort(block[e], axis=1).T
     counts = np.zeros((k, k))
     np.add.at(counts, (a, c), 1)
@@ -164,9 +164,9 @@ def test_score_sampler_keeps_fewer_components_than_random():
     alg_counts, rnd_counts = [], []
     for seed in range(50):
         ds = hs.generate_dataset(two_block_spec(n=300, intra=0.03, inter=0.003, seed=seed))
-        res = hs.sample_homophily(ds.graph, ds.features, SampleSpec(gamma=0.5))
+        res = hs.sample(ds.graph, SampleSpec(gamma=0.5), x=ds.features)
         alg_counts.append(hs.connected_components(res.subgraph)[0])
-        rnd = hs.sample_random(ds.graph, SampleSpec(gamma=0.5, method="random", seed=seed))
+        rnd = hs.sample(ds.graph, SampleSpec(gamma=0.5, method="random", seed=seed))
         rnd_counts.append(hs.connected_components(rnd.subgraph)[0])
     assert np.mean(alg_counts) <= np.mean(rnd_counts)
 
@@ -177,7 +177,7 @@ def test_grid_graphon():
     g, u = hs.sample_graphon_graph(spec)
     # same-half pairs should dominate
     half = (u >= 0.5).astype(int)
-    same = sum(1 for a, b in g.edge_array() if half[a] == half[b])
+    same = sum(1 for a, b in np.column_stack(g.edges()) if half[a] == half[b])
     assert same > g.m / 2
     x, labels = hs.homophilic_features(u, spec)
     assert x.shape == (200, 3)
@@ -225,8 +225,8 @@ def test_parse_graphon_spec():
     shorthand = parse_graphon_spec("blocks,n=40,intra=0.3,inter=0.02,seed=2")
     assert np.array_equal(probs.block_probs, shorthand.block_probs)
     assert np.array_equal(
-        hs.sample_graphon_graph(probs)[0].edge_array(),
-        hs.sample_graphon_graph(shorthand)[0].edge_array(),
+        np.column_stack(hs.sample_graphon_graph(probs)[0].edges()),
+        np.column_stack(hs.sample_graphon_graph(shorthand)[0].edges()),
     )
     for bad in (
         "",

@@ -1,10 +1,13 @@
 import io
+import json
 import os
 import re
 import signal
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from homsample.io_formats import (
     check_sizes,
     read_edge_list,
     read_features_csv,
-    read_kept,
     read_labels_csv,
     read_report,
     report_to_text,
@@ -140,7 +142,7 @@ def test_check_sizes():
 
 def test_write_sample_full_keep(tmp_path):
     g = path_graph(3)
-    res = hs.sample_random(g, SampleSpec(gamma=1.0, method="random", seed=0))
+    res = hs.sample(g, SampleSpec(gamma=1.0, method="random", seed=0))
     write_sample(res, tmp_path / "s")
     assert (tmp_path / "s" / "kept.txt").read_text() == "0\n1\n2\n"
 
@@ -150,10 +152,10 @@ def test_sample_reinduction_oracle(tmp_path):
     g = random_graph(rng, 50, 0.1)
     x = rng.standard_normal((50, 3))
     y = rng.integers(0, 2, size=50)
-    res = hs.sample_homophily(g, x, SampleSpec(gamma=0.6), labels=y)
+    res = hs.sample(g, SampleSpec(gamma=0.6), x=x, labels=y)
     outdir = tmp_path / "s"
     write_sample(res, outdir)
-    kept = read_kept(outdir / "kept.txt")
+    kept = np.loadtxt(outdir / "kept.txt", dtype=np.int64)
     reinduced = hs.induced_subgraph(g, kept)
     stored = read_edge_list(outdir / "edges.txt")
     assert np.array_equal(reinduced.indptr, stored.indptr)
@@ -316,21 +318,6 @@ LABEL_CORPUS = [
     "\uff11\n",
 ]
 
-KEPT_CORPUS = [
-    "1\n2\n",
-    "1\n\n  \n2\n",
-    " 3 \n",
-    "1 2\n",
-    "+1\n-0\n",
-    "1.0\n",
-    "1_0\n",
-    "",
-    "# c\n",
-    "\r\n1\r\n",
-    "99999999999999999999\n",
-]
-
-
 def _outcome(read, path):
     try:
         out = read(path)
@@ -353,13 +340,46 @@ def _assert_matches_line_reader(read, path, monkeypatch):
     "read, text",
     [(read_edge_list, t) for t in EDGE_CORPUS]
     + [(read_features_csv, t) for t in FEATURE_CORPUS]
-    + [(read_labels_csv, t) for t in LABEL_CORPUS]
-    + [(read_kept, t) for t in KEPT_CORPUS],
+    + [(read_labels_csv, t) for t in LABEL_CORPUS],
 )
 def test_bulk_reader_equals_line_reader(read, text, tmp_path, monkeypatch):
     p = tmp_path / "in.txt"
     p.write_bytes(text.encode("utf-8"))
     _assert_matches_line_reader(read, p, monkeypatch)
+
+
+LINE_READER_CORPORA = {
+    "_read_edge_lines": EDGE_CORPUS,
+    "_read_features_lines": FEATURE_CORPUS,
+    "_read_labels_lines": LABEL_CORPUS,
+}
+
+# What each line reader gave on each corpus file when this test was written:
+# ["returns", declared n (edge lists) or null, dtype, shape, the array's bytes
+# in hex] or ["raises", exception class, message with the file's path as <path>]
+PINNED_LINE_OUTCOMES = json.loads((Path(__file__).parent / "line_reader_outcomes.json").read_text())
+
+
+def _line_outcome(read, path) -> list:
+    try:
+        out = read(path)
+    except Exception as exc:  # compared by class and message
+        name = f"{type(exc).__module__}.{type(exc).__qualname__}"
+        return ["raises", name, str(exc).replace(str(path), "<path>")]
+    declared_n, a = out if isinstance(out, tuple) else (None, out)
+    return ["returns", declared_n, a.dtype.str, list(a.shape), a.tobytes().hex()]
+
+
+@pytest.mark.parametrize(
+    "reader, text", [(name, t) for name, corpus in LINE_READER_CORPORA.items() for t in corpus]
+)
+def test_line_readers_give_their_pinned_outcomes(reader, text, tmp_path):
+    p = tmp_path / "in.txt"
+    p.write_bytes(text.encode("utf-8"))
+    want = PINNED_LINE_OUTCOMES[reader][text]
+    if reader != "_read_edge_lines" and "\x00" in text and sys.version_info < (3, 11):
+        want = ["raises", "_csv.Error", "line contains NUL"]  # csv reads NUL from Python 3.11 on
+    assert _line_outcome(getattr(io_formats, reader), p) == want
 
 
 def test_loadtxt_warning_falls_back_to_line_reader(tmp_path, monkeypatch):
@@ -380,18 +400,18 @@ def test_canonical_files_take_the_bulk_path(tmp_path, monkeypatch):
     g = random_graph(rng, 300, 0.3)
     x = rng.standard_normal((g.n, 5))
     y = rng.integers(0, 4, size=g.n)
-    res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5), labels=y)
+    res = hs.sample(g, SampleSpec(gamma=0.5), x=x, labels=y)
     write_sample(res, tmp_path / "s")
     write_edge_list(g, tmp_path / "g.txt")
 
     def no_line_reader(path):
         raise AssertionError(f"line reader ran on {path}")
 
-    for name in ("_read_edge_lines", "_read_features_lines", "_read_labels_lines", "_read_kept_lines"):
+    for name in ("_read_edge_lines", "_read_features_lines", "_read_labels_lines"):
         monkeypatch.setattr(io_formats, name, no_line_reader)
     back = read_edge_list(tmp_path / "g.txt")
     assert np.array_equal(back.indices, g.indices) and back.n == g.n
-    assert np.array_equal(read_kept(tmp_path / "s" / "kept.txt"), res.kept)
+    assert np.array_equal(np.loadtxt(tmp_path / "s" / "kept.txt", dtype=np.int64), res.kept)
     assert np.array_equal(read_features_csv(tmp_path / "s" / "features.csv"), res.features)
     assert np.array_equal(read_labels_csv(tmp_path / "s" / "labels.csv"), res.labels)
 
@@ -415,11 +435,11 @@ def test_block_writers_match_per_value_formatting(tmp_path):
 
     g = random_graph(rng, 300, 0.3)  # more edges than one write block
     write_edge_list(g, tmp_path / "g.txt")
-    want = f"n={g.n}\n" + _int_rows(g.edge_array().tolist())
+    want = f"n={g.n}\n" + _int_rows(np.column_stack(g.edges()).tolist())
     assert (tmp_path / "g.txt").read_text() == want
 
     y = rng.integers(0, 5, size=g.n)
-    res = hs.sample_random(g, SampleSpec(gamma=0.6, method="random", seed=1), labels=y)
+    res = hs.sample(g, SampleSpec(gamma=0.6, method="random", seed=1), labels=y)
     write_sample(res, tmp_path / "s")
     kept = res.kept.tolist()
     assert (tmp_path / "s" / "kept.txt").read_text() == _int_rows([[k] for k in kept])

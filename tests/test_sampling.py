@@ -26,7 +26,7 @@ def brute_force_kept(scores, gamma):
 def test_hand_example_removes_two_largest_scores():
     g = path_graph(4)
     x = scores_to_features([5.0, 1.0, 3.0, 2.0])
-    res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5, use_raw_scores=True))
+    res = hs.sample(g, SampleSpec(gamma=0.5, use_raw_scores=True), x=x)
     assert res.kept.tolist() == [1, 3]
     assert res.subgraph.n == 2
 
@@ -35,7 +35,7 @@ def test_gamma_one_keeps_everything():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 25, 0.2)
     x = rng.standard_normal((25, 3))
-    res = hs.sample_homophily(g, x, SampleSpec(gamma=1.0))
+    res = hs.sample(g, SampleSpec(gamma=1.0), x=x)
     assert len(res.kept) == 25
     assert np.array_equal(res.subgraph.indptr, g.indptr)
     assert np.array_equal(res.subgraph.indices, g.indices)
@@ -49,8 +49,8 @@ def test_tie_break_matches_stable_sort_oracle():
         scores = rng.integers(0, 4, size=n).astype(float)  # heavy ties
         gamma = float(rng.choice([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]))
         g = random_graph(rng, n, 0.2)
-        res = hs.sample_homophily(
-            g, scores_to_features(scores), SampleSpec(gamma=gamma, use_raw_scores=True)
+        res = hs.sample(
+            g, SampleSpec(gamma=gamma, use_raw_scores=True), x=scores_to_features(scores)
         )
         assert res.kept.tolist() == brute_force_kept(scores, gamma)
 
@@ -61,7 +61,7 @@ def test_keep_count_exact_over_gamma_grid():
         for n in (1, 2, 3, 7, 10, 33, 100):
             g = random_graph(rng, n, 0.3)
             x = rng.standard_normal((n, 2))
-            res = hs.sample_homophily(g, x, SampleSpec(gamma=gamma))
+            res = hs.sample(g, SampleSpec(gamma=gamma), x=x)
             assert len(res.kept) == n - deletion_budget(n, gamma)
 
 
@@ -70,8 +70,8 @@ def test_feature_column_permutation_does_not_change_sample():
     g = random_graph(rng, 30, 0.2)
     x = rng.standard_normal((30, 6))
     spec = SampleSpec(gamma=0.5)
-    ref = hs.sample_homophily(g, x, spec).kept
-    got = hs.sample_homophily(g, x[:, rng.permutation(6)], spec).kept
+    ref = hs.sample(g, spec, x=x).kept
+    got = hs.sample(g, spec, x=x[:, rng.permutation(6)]).kept
     assert np.array_equal(ref, got)
 
 
@@ -86,7 +86,7 @@ def test_scores_computed_exactly_once(monkeypatch):
     monkeypatch.setattr(sampling, "node_scores", counting)
     rng = np.random.default_rng(4)
     g = random_graph(rng, 40, 0.2)
-    hs.sample_homophily(g, rng.standard_normal((40, 3)), SampleSpec(gamma=0.25))
+    hs.sample(g, SampleSpec(gamma=0.25), x=rng.standard_normal((40, 3)))
     assert calls["n"] == 1
 
 
@@ -106,8 +106,8 @@ def test_raw_vs_normalized_scores_differ_when_columns_unbalanced():
     x = np.column_stack([np.arange(6.0) * 100.0, np.array([0, 5, 0, 0, 0, 0.1])])
     spec_norm = SampleSpec(gamma=0.5)
     spec_raw = SampleSpec(gamma=0.5, use_raw_scores=True)
-    kept_norm = hs.sample_homophily(g, x, spec_norm).kept.tolist()
-    kept_raw = hs.sample_homophily(g, x, spec_raw).kept.tolist()
+    kept_norm = hs.sample(g, spec_norm, x=x).kept.tolist()
+    kept_raw = hs.sample(g, spec_raw, x=x).kept.tolist()
     assert kept_raw != kept_norm
 
 
@@ -117,7 +117,7 @@ def test_kept_rows_minimize_restricted_correlation_trace():
         n = int(rng.integers(4, 13))
         g = random_graph(rng, n, 0.3)
         x = rng.standard_normal((n, 3))
-        res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5))
+        res = hs.sample(g, SampleSpec(gamma=0.5), x=x)
         xh = normalize_reference(x)
         kept_mass = float((xh[res.kept] ** 2).sum())
         k = len(res.kept)
@@ -128,12 +128,12 @@ def test_kept_rows_minimize_restricted_correlation_trace():
 def test_random_sampler_determinism_and_gamma_one():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 20, 0.3)
-    full = hs.sample_random(g, SampleSpec(gamma=1.0, method="random", seed=1))
+    full = hs.sample(g, SampleSpec(gamma=1.0, method="random", seed=1))
     assert len(full.kept) == 20
-    a = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=42))
-    b = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=42))
+    a = hs.sample(g, SampleSpec(gamma=0.5, method="random", seed=42))
+    b = hs.sample(g, SampleSpec(gamma=0.5, method="random", seed=42))
     assert np.array_equal(a.kept, b.kept)
-    c = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=43))
+    c = hs.sample(g, SampleSpec(gamma=0.5, method="random", seed=43))
     assert not np.array_equal(a.kept, c.kept)
 
 
@@ -142,7 +142,7 @@ def test_random_sampler_uniform_keep_frequency():
     counts = np.zeros(10)
     draws = 10_000
     for seed in range(draws):
-        res = hs.sample_random(g, SampleSpec(gamma=0.5, method="random", seed=seed))
+        res = hs.sample(g, SampleSpec(gamma=0.5, method="random", seed=seed))
         counts[res.kept] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.5) <= 0.02)
@@ -150,11 +150,11 @@ def test_random_sampler_uniform_keep_frequency():
 
 def test_degree_greedy_star_and_path():
     star = hs.build_graph([(0, 1), (0, 2), (0, 3)])
-    res = hs.sample_degree_greedy(star, SampleSpec(gamma=0.5, method="degree_greedy"))
+    res = hs.sample(star, SampleSpec(gamma=0.5, method="degree_greedy"))
     assert res.kept.tolist() == [0, 3]  # leaves 1, 2 removed first on ties
     assert hs.laplacian_trace(res.subgraph) == 2.0
     p3 = path_graph(3)
-    res = hs.sample_degree_greedy(p3, SampleSpec(gamma=2 / 3, method="degree_greedy"))
+    res = hs.sample(p3, SampleSpec(gamma=2 / 3, method="degree_greedy"))
     assert res.kept.tolist() == [1, 2]
     assert res.subgraph.m == 1
 
@@ -165,7 +165,7 @@ def test_degree_greedy_matches_brute_force_resimulation():
         n = int(rng.integers(4, 50))
         g = random_graph(rng, n, rng.uniform(0.05, 0.4))
         gamma = float(rng.uniform(0.2, 0.9))
-        res = hs.sample_degree_greedy(g, SampleSpec(gamma=gamma, method="degree_greedy"))
+        res = hs.sample(g, SampleSpec(gamma=gamma, method="degree_greedy"))
         # independent oracle: dense adjacency, recompute degrees each step
         a = adjacency_dense(g)
         alive = np.ones(n, dtype=bool)
@@ -184,19 +184,32 @@ def test_degree_greedy_shared_order_gives_the_same_sample():
     assert order.size == deletion_budget(g.n, 0.1)
     for gamma in gammas:
         spec = SampleSpec(gamma=gamma, method="degree_greedy")
-        own = hs.sample_degree_greedy(g, spec)
+        own = hs.sample(g, spec)
         shared = hs.sample(g, spec, greedy=order)
         assert shared.kept.tolist() == own.kept.tolist()
         assert np.array_equal(shared.subgraph.indices, own.subgraph.indices)
     short = sampling.greedy_order(g, (0.9,))
     with pytest.raises(ValueError, match="greedy order holds"):
-        hs.sample_degree_greedy(g, SampleSpec(gamma=0.5, method="degree_greedy"), order=short)
+        hs.sample(g, SampleSpec(gamma=0.5, method="degree_greedy"), greedy=short)
 
 
 def test_empty_sample_rejected():
     g = path_graph(4)
     with pytest.raises(ValueError, match="empty sample"):
-        hs.sample_homophily(g, np.ones((4, 1)), SampleSpec(gamma=0.0))
+        hs.sample(g, SampleSpec(gamma=0.0), x=np.ones((4, 1)))
+
+
+def test_the_first_failing_check_names_the_error():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="requires node features"):
+        hs.sample(g, SampleSpec(gamma=0.0))  # features are checked before the budget
+    with pytest.raises(ValueError, match="3 rows, graph has 4 nodes"):
+        hs.sample(g, SampleSpec(gamma=0.0), x=np.ones((3, 1)))  # then their row count
+    short = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="empty sample"):
+        hs.sample(g, SampleSpec(gamma=0.0, method="degree_greedy"), greedy=short)
+    with pytest.raises(ValueError, match="empty sample"):
+        hs.sample(g, SampleSpec(gamma=0.0, method="random"))
 
 
 def test_spec_validation():
@@ -213,6 +226,6 @@ def test_labels_restricted_alongside_features():
     g = random_graph(rng, 12, 0.3)
     x = rng.standard_normal((12, 2))
     y = rng.integers(0, 3, size=12)
-    res = hs.sample_homophily(g, x, SampleSpec(gamma=0.5), labels=y)
+    res = hs.sample(g, SampleSpec(gamma=0.5), x=x, labels=y)
     assert np.array_equal(res.labels, y[res.kept])
     assert np.array_equal(res.features, x[res.kept])
