@@ -15,7 +15,7 @@ from .features import (
     normalize_features,
     trace_lower_bound,
 )
-from .gnn import GnnConfig, GnnModel, conv_filterbank, evaluate, forward, shift_matrix, train
+from .gnn import GnnConfig, GnnModel, evaluate, forward, shift_matrix, train
 from .graph import (
     Graph,
     adjusted_trace,
@@ -27,6 +27,5 @@ from .graph import (
 )
 from .graphon import GraphonSpec, generate_dataset, homophilic_features, sample_graphon_graph
 from .sampling import SampleResult, SampleSpec, sample
-from .spectral import conv_span_dimension, leverage_identity_check, numerical_rank
 
 __version__ = "0.1.0"

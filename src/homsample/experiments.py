@@ -153,7 +153,7 @@ def run_cell(
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    xk = None if x is None else np.asarray(x)[kept]
+    xk = None if x is None else np.take(x, kept, axis=0)
     metrics = subgraph_metrics(
         kept.size, lambda: induced_edges(g.n, g.edges() if edges is None else edges, kept), xk
     )
@@ -500,8 +500,3 @@ def write_bench_csv(rows: list[BenchRow], path) -> None:
         for r in rows:
             vals = [r.m_target, r.m, r.n, r.d, r.t_scores, r.t_homophily, r.t_select, r.t_total]
             fh.write(",".join(_csv_cell(v) for v in vals) + "\n")
-
-
-def loglog_slope(sizes, times) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(np.asarray(times, float)), 1)[0])

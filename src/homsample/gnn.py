@@ -1,9 +1,9 @@
 """Desk-scale graph convolutional network with seeded full-batch training.
 
 Each layer applies a polynomial filterbank in the graph shift operator,
-sum_k S^k Z H_k, followed by an entry-wise activation (the last layer emits
-raw logits). A layer's K tap matrices are stacked into one, so each
-filterbank is one matrix product plus shifts of the narrower side:
+sum_k S^k Z H_k, followed by a relu (the last layer emits raw logits). A
+layer's K tap matrices are stacked into one, so each filterbank is one
+matrix product plus shifts of the narrower side:
 
 - layer 0 stacks its taps by rows, (K d_in x d_out), and computes
   [X | SX | ... | S^(K-1) X] @ W_0; training shifts the features once per
@@ -11,7 +11,6 @@ filterbank is one matrix product plus shifts of the narrower side:
 - each later layer stacks its taps by columns, (d_in x K d_out): one
   product Y = Z @ W gives every Z H_k, and Horner's rule over its column
   blocks, a = S a + Y_k, shifts n x d_out instead of n x d_in.
-  ``conv_filterbank`` is this path for a single filterbank.
 
 Gradients are computed by hand. Past the output layer the gradient g is
 shifted once, G = [g | Sg | ...]; with S symmetric, Z^T G is the stacked
@@ -34,7 +33,6 @@ from .features import NormalizedFeatures, as_feature_matrix, normalize_features
 from .graph import Graph
 
 SHIFT_CHOICES = ("gcn_norm", "adjacency", "laplacian")
-ACTIVATIONS = ("relu", "sigmoid")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,7 +51,6 @@ class GnnConfig:
     taps: int = 2
     hidden: int = 64
     shift: str = "gcn_norm"
-    activation: str = "relu"
     epochs: int = 200
     lr: float = 1e-3
     weight_decay: float = 1e-4
@@ -66,8 +63,6 @@ class GnnConfig:
             raise ValueError(f"hidden must be an int >= 1, got {self.hidden!r}")
         if self.shift not in SHIFT_CHOICES:
             raise ValueError(f"shift must be one of {SHIFT_CHOICES}, got {self.shift!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs!r}")
         for name in ("lr", "weight_decay"):
@@ -113,24 +108,6 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
-def conv_filterbank(s, x, taps) -> np.ndarray:
-    """sum_k S^k X H_k for a sparse or dense matrix S, by Horner's rule (never S^k)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != s.shape[0]:
-        raise ValueError(f"signal shape {x.shape} does not match operator {s.shape}")
-    d = x.shape[1]
-    for h in taps:
-        if h.shape != (d, taps[0].shape[1]):
-            raise ValueError(f"tap shape {h.shape} does not match signal width {d} or the first tap")
-    return _horner(s, x @ np.hstack(taps), len(taps))
-
-
-def _activate(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    return 1.0 / (1.0 + np.exp(-a))
-
-
 def _shift_stack(s, z, count: int) -> np.ndarray:
     """[z | S z | ... | S^(count-1) z] as one (n, count * width) array, by iterated shifts."""
     if count == 1:
@@ -172,7 +149,7 @@ def _forward(weights, s, xs, cfg) -> list[np.ndarray]:
     zs = [xs]
     for l, w in enumerate(weights):
         a = xs @ w if l == 0 else _horner(s, zs[-1] @ w, cfg.taps)
-        zs.append(a if l == len(weights) - 1 else _activate(a, cfg.activation))
+        zs.append(a if l == len(weights) - 1 else np.maximum(a, 0.0))
     return zs
 
 
@@ -224,9 +201,8 @@ def loss_and_grads(weights, grads, s, xs, idx, y, cfg) -> float:
     g /= idx.size
     last = len(weights) - 1
     for l in range(last, -1, -1):
-        if l < last:  # through the activation, read off its output z
-            z = zs[l + 1]
-            g = g * (z > 0.0) if cfg.activation == "relu" else g * z * (1.0 - z)
+        if l < last:  # through the relu, read off its output
+            g = g * (zs[l + 1] > 0.0)
         if l == 0:
             np.matmul(xs.T, g, out=grads[0])
         else:

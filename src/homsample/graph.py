@@ -7,12 +7,16 @@ undirected edge. Node ids are dense 0-based; isolated nodes are legitimate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import DataError
+
+# the most nodes whose largest edge key u*n + v, n*n - 1, fits in int64
+MAX_NODES = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ def build_graph(edges, n: int | None = None) -> Graph:
             raise DataError(f"edge endpoint {max_id} out of range for declared n={n}")
     if n < 1:
         raise DataError("empty graph: node count must be at least 1")
+    if n > MAX_NODES:
+        raise DataError(f"node count {n} is above the supported maximum {MAX_NODES}")
     e = e[e[:, 0] != e[:, 1]]  # self-loops are trace-neutral under L = D - A
     # one int64 key u*n + v per directed edge: sorting the keys sorts the
     # rows lexicographically

@@ -47,6 +47,8 @@ from .errors import DataError
 from .graph import Graph, _freeze, build_graph
 from .sampling import SampleResult
 
+_INT64 = np.iinfo(np.int64)
+
 
 def _fmt_float(v: float) -> str:
     if not math.isfinite(v):
@@ -265,6 +267,8 @@ def _read_edge_lines(path: Path) -> tuple[int | None, np.ndarray]:
                 raise DataError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
             if u < 0 or v < 0:
                 raise DataError(f"{path}:{lineno}: negative node id in {line!r}")
+            if max(u, v) > _INT64.max:
+                raise DataError(f"{path}:{lineno}: node id out of int64 range in {line!r}")
             pairs.append((u, v))
     return declared_n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
@@ -343,11 +347,14 @@ def _read_labels_lines(path: Path) -> np.ndarray:
             if len(record) != 1:
                 raise DataError(f"{path}:{rowno}: expected a single label column")
             try:
-                labels.append(int(record[0]))
+                label = int(record[0])
             except ValueError:
                 raise DataError(
                     f"{path}:{rowno}: non-integer label {record[0]!r}"
                 ) from None
+            if not _INT64.min <= label <= _INT64.max:
+                raise DataError(f"{path}:{rowno}: label {record[0]!r} out of int64 range")
+            labels.append(label)
     if not labels:
         raise DataError(f"{path}: empty label file")
     return np.asarray(labels, dtype=np.int64)

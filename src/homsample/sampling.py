@@ -125,6 +125,6 @@ def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
 def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> SampleResult:
     """The sample of ``sample_ids``: its subgraph and the kept rows of ``x`` and ``labels``."""
     kept = sample_ids(g, spec, x=x, greedy=greedy)
-    xr = None if x is None else np.asarray(x)[kept]
+    xr = None if x is None else np.take(x, kept, axis=0)
     yr = None if labels is None else np.asarray(labels)[kept]
     return SampleResult(kept=kept, subgraph=induced_subgraph(g, kept), features=xr, labels=yr)

@@ -574,6 +574,28 @@ def test_negative_label_exits_2_before_any_output(tmp_path, capsys, command):
     assert not (tmp_path / "__homsample_cache__").exists()  # nor any cache entry
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("g.txt", "0 1\n99999999999999999999 1\n",
+     "g.txt:2: node id out of int64 range in '99999999999999999999 1'"),
+    ("g.txt", "n=99999999999999999999\n0 1\n",
+     "g.txt: node count 99999999999999999999 is above the supported maximum 3037000499"),
+    ("y.csv", "0\n1\n99999999999999999999\n0\n",
+     "y.csv:3: label '99999999999999999999' out of int64 range"),
+])
+def test_integers_beyond_int64_exit_2_naming_the_input(tmp_path, capsys, name, text, message):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "y.csv")
+    (tmp_path / name).write_text(text)
+    rc = main([
+        "train-eval", "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+        "--labels", str(tmp_path / "y.csv"), "--method", "random", "--gamma", "0.5",
+        "--epochs", "2",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"homsample: data error: {tmp_path / message}")
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--features", "x.csv", "--methods", "random"], "--labels"),  # training needs labels
     (["--labels", "y.csv", "--methods", "random"], "--features"),  # ... and features

@@ -11,7 +11,6 @@ from homsample.experiments import (
     SUMMARY_COLUMNS,
     ExperimentPlan,
     expand_cells,
-    loglog_slope,
     run_bench,
     run_bench_dims,
     run_experiment,
@@ -23,7 +22,7 @@ from homsample.gnn import GnnConfig
 from homsample.graphon import two_block_spec
 from homsample.sampling import SampleSpec
 
-from util import random_graph
+from util import bench_table, loglog_slope, random_graph
 
 
 def test_expand_cells_grid_arithmetic():
@@ -122,13 +121,10 @@ def test_training_plan_needs_features_and_labels():
 
 def test_bench_doubling_ratios_within_band():
     rows = run_bench([10_000, 20_000, 40_000, 80_000], d=16, repeats=5)
-    times = [r.t_compute for r in rows]
-    for a, b in zip(times, times[1:]):
-        assert 1.2 <= b / a <= 3.5
     d_rows = run_bench_dims([16, 32, 64, 128], m_target=40_000, repeats=5)
-    d_times = [r.t_compute for r in d_rows]
-    for a, b in zip(d_times, d_times[1:]):
-        assert 1.2 <= b / a <= 3.5
+    ratios = [b.t_compute / a.t_compute for rs in (rows, d_rows) for a, b in zip(rs, rs[1:])]
+    detail = f"doubling ratios {[round(q, 3) for q in ratios]} over\n{bench_table(rows + d_rows)}"
+    assert all(1.2 <= q <= 3.5 for q in ratios), detail
 
 
 def test_bench_rows_report_real_sizes():

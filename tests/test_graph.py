@@ -3,6 +3,7 @@ import pytest
 
 import homsample as hs
 from homsample.errors import DataError
+from homsample.graph import MAX_NODES
 
 from util import adjacency_dense, complete_graph, dense_laplacian, path_graph, random_edge_pairs, random_graph
 
@@ -127,6 +128,9 @@ def test_build_errors():
         hs.build_graph([(0, 5)], n=3)
     with pytest.raises(DataError):
         hs.build_graph([(0, 1, 2)])
+    for edges, n in (([(0, 1)], MAX_NODES + 1), ([(0, MAX_NODES)], None)):
+        with pytest.raises(DataError, match=f"node count {MAX_NODES + 1} is above"):
+            hs.build_graph(edges, n=n)
 
 
 def test_empty_edge_list_with_declared_n():
