@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .graphon import generate_dataset, parse_graphon_spec
 from .io_formats import (
     MetricsReport,
     check_sizes,
+    greedy_order_cached,
     read_cached,
     report_to_text,
     write_edge_list,
@@ -52,6 +54,13 @@ def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _nonnegative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
     return v
 
 
@@ -131,14 +140,16 @@ def _gnn_config(args) -> GnnConfig:
 
 
 def _load_dataset(args, need_features=True, need_labels=False):
+    """(graph, features, labels, the graph file's cache digest) of the command's files."""
     if need_features and not args.features:
         raise DataError("this command requires --features")
     if need_labels and not args.labels:
         raise DataError("this command requires --labels")
     stores = []
+    digests = {}
 
     def read(path, kind):
-        value, store = read_cached(path, kind)
+        value, store, digests[kind] = read_cached(path, kind)
         stores.append(store)
         return value
 
@@ -156,7 +167,14 @@ def _load_dataset(args, need_features=True, need_labels=False):
     check_sizes(g, x, y)
     for store in stores:  # only inputs that passed every check are cached
         store()
-    return g, x, y
+    return g, x, y, digests["edge_list"]
+
+
+def _greedy(args, g, digest):
+    """The cached greedy deletion order for a ``degree_greedy`` ``--method``, else None."""
+    if args.method != "degree_greedy":
+        return None
+    return greedy_order_cached(args.graph, digest, g, (args.gamma,))
 
 
 def cmd_synth(args) -> int:
@@ -172,7 +190,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_homophily(args) -> int:
-    g, x, _ = _load_dataset(args)
+    g, x, _, _ = _load_dataset(args)
     xh = normalize_features(x)
     h = feature_homophily(g, xh)
     tr = laplacian_trace(g)
@@ -186,18 +204,18 @@ def cmd_homophily(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g, x, y = _load_dataset(args, need_features=args.method == "homophily")
+    g, x, y, digest = _load_dataset(args, need_features=args.method == "homophily")
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    result = sample(g, spec, x=x, labels=y)
+    result = sample(g, spec, x=x, labels=y, greedy=_greedy(args, g, digest))
     write_sample(result, args.out)
     print(f"kept {len(result.kept)} of {g.n} nodes -> {args.out}")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    g, x, _ = _load_dataset(args)
+    g, x, _, _ = _load_dataset(args)
     try:
         metrics = subgraph_metrics(g.n, g.edges, x)
     except ValueError as exc:  # every feature column constant: no trace bound
@@ -213,11 +231,12 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_train_eval(args) -> int:
-    g, x, y = _load_dataset(args, need_labels=True)
+    g, x, y, digest = _load_dataset(args, need_labels=True)
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem)
+    greedy = _greedy(args, g, digest)
+    report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem, greedy=greedy)
     print(f"accuracy = {report.accuracy:.17g}")
     if args.out:
         write_report(report, args.out)
@@ -226,6 +245,7 @@ def cmd_train_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     methods = args.methods
+    greedy, greedy_s = None, 0.0
     if args.synth:
         if args.features or args.labels:
             raise UsageError("--synth generates its own features and labels")
@@ -234,10 +254,14 @@ def cmd_experiment(args) -> int:
         dataset_id = "synth"
     else:
         train = not args.metrics_only
-        g, x, y = _load_dataset(
+        g, x, y, digest = _load_dataset(
             args, need_features=train or "homophily" in methods, need_labels=train
         )
         dataset_id = Path(args.graph).stem
+        if "degree_greedy" in methods:
+            t0 = time.perf_counter()
+            greedy = greedy_order_cached(args.graph, digest, g, args.rates)
+            greedy_s = time.perf_counter() - t0
     plan = ExperimentPlan(
         rates=args.rates,
         methods=methods,
@@ -248,7 +272,7 @@ def cmd_experiment(args) -> int:
         dataset_id=dataset_id,
         workers=args.workers,
     )
-    rows = run_experiment(plan, g, x=x, labels=y, outdir=args.out)
+    rows = run_experiment(plan, g, x=x, labels=y, outdir=args.out, greedy=greedy, greedy_s=greedy_s)
     print(f"wrote {len(rows)} summary rows to {Path(args.out) / 'summary.csv'}")
     return 0
 
@@ -288,7 +312,7 @@ def build_parser() -> _Parser:
     _add_data_args(p, features_required=False)
     p.add_argument("--gamma", type=_gamma, required=True)
     p.add_argument("--method", choices=METHODS, default="homophily")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--use-raw-scores", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -302,7 +326,7 @@ def build_parser() -> _Parser:
     _add_data_args(p, labels_required=True)
     p.add_argument("--gamma", type=_gamma, required=True)
     p.add_argument("--method", choices=METHODS, default="homophily")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--use-raw-scores", action="store_true")
     p.add_argument("--out")
     _add_gnn_args(p)
@@ -317,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rates", type=_rate_list, required=True)
     p.add_argument("--methods", type=_method_list, default="homophily,random")
     p.add_argument("--reps", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--metrics-only", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True)

@@ -34,7 +34,7 @@ from .gnn import GnnConfig, evaluate, train
 from .graph import Graph, induced_edges, induced_subgraph
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleSpec, check_method, greedy_order, lowest_score_nodes, sample_ids
+from .sampling import SampleSpec, check_greedy, check_method, greedy_order, lowest_score_nodes, sample_ids
 
 
 @dataclass(frozen=True)
@@ -355,6 +355,8 @@ def run_experiment(
     x: np.ndarray | None = None,
     labels: np.ndarray | None = None,
     outdir=None,
+    greedy: np.ndarray | None = None,
+    greedy_s: float = 0.0,
 ) -> list[dict]:
     """Run every cell of the plan, write reports and the summary, return rows.
 
@@ -365,11 +367,15 @@ def run_experiment(
     worker count. No worker outlives the call.
     With more than one worker, BLAS runs on one thread while the pool runs,
     and a worker process that dies raises BrokenProcessPool before anything
-    is written. The degree-greedy deletion order is computed once, at the
-    plan's largest budget, and every degree_greedy cell keeps the complement
-    of its prefix; each such cell's timing sidecar records that one-off time
-    as ``greedy_order``, outside its ``sample`` phase. A plan that trains
-    (not ``metrics_only``) raises ValueError without ``x`` and ``labels``.
+    is written. Every degree_greedy cell keeps the complement of a prefix
+    of one deletion order at the plan's largest budget: ``greedy``, as
+    ``sampling.greedy_order(g, plan.rates)`` returns it (or longer), with
+    ``greedy_s`` the seconds it took to obtain; when ``greedy`` is None, it
+    is computed here and timed. A shorter order raises the ValueError that
+    ``sampling.sample_ids`` raises. Each such cell's timing sidecar records
+    ``greedy_s`` as ``greedy_order``, outside its ``sample`` phase. A plan
+    that trains (not ``metrics_only``) raises ValueError without ``x`` and
+    ``labels``.
     """
     global _SWEEP
     if not plan.metrics_only and (x is None or labels is None):
@@ -378,11 +384,13 @@ def run_experiment(
     cells = expand_cells(plan)
     outcomes: dict[Cell, MetricsReport | Exception] = {}
     timing_map: dict[Cell, dict] = {}
-    greedy = None
     if "degree_greedy" in plan.methods:
-        t0 = time.perf_counter()
-        greedy = greedy_order(g, plan.rates)
-        greedy_s = time.perf_counter() - t0
+        if greedy is None:
+            t0 = time.perf_counter()
+            greedy = greedy_order(g, plan.rates)
+            greedy_s = time.perf_counter() - t0
+        else:
+            check_greedy(greedy, g.n, plan.rates)
 
     _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, greedy, g.edges())
     try:

@@ -22,7 +22,8 @@ per usable CPU, and the file is byte-identical to a one-process write.
 
 The readers are pure parsers. ``read_cached`` puts a content-keyed cache in
 front of them: each parse is stored once as binary arrays next to the input
-and reloaded while the file's bytes stay the same.
+and reloaded while the file's bytes stay the same. ``greedy_order_cached``
+keeps a graph file's greedy deletion order in the same cache.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import Graph, _freeze, build_graph
-from .sampling import SampleResult
+from .sampling import SampleResult, greedy_budget, greedy_order
 
 _INT64 = np.iinfo(np.int64)
 
@@ -378,13 +379,16 @@ def check_sizes(g: Graph, x=None, labels=None) -> None:
 
 CACHE_DIR = "__homsample_cache__"
 
-# reader kind -> (format tag, stored array name -> (dtype, ndim)). An entry
+# entry kind -> (format tag, stored array name -> (dtype, ndim)). An entry
 # is found by its tag, so changing a tag retires every entry of that kind.
 _CACHE_FORMATS = {
     "edge_list": ("1", {"n": ("int64", 0), "indptr": ("int64", 1), "indices": ("int64", 1)}),
     "features_csv": ("1", {"features": ("float64", 2)}),
     "labels_csv": ("1", {"labels": ("int64", 1)}),
 }
+# An order is computed from the parsed graph, so its tag carries the
+# edge_list tag after its own: a reader change retires the orders as well.
+_CACHE_FORMATS["greedy_order"] = ("1-" + _CACHE_FORMATS["edge_list"][0], {"order": ("int64", 1)})
 
 
 def _reader(kind: str):
@@ -407,6 +411,12 @@ def _to_arrays(kind: str, value) -> dict[str, np.ndarray]:
         return {"n": np.int64(value.n), "indptr": value.indptr, "indices": value.indices}
     (name,) = _CACHE_FORMATS[kind][1]
     return {name: value}
+
+
+def _entry_path(path: Path, kind: str, digest: str) -> tuple[Path, str]:
+    """(entry, stem) of ``path``'s ``kind`` entry for the bytes hashing to ``digest``."""
+    stem = f"{path.name}.{kind}"
+    return path.parent / CACHE_DIR / f"{stem}.{_CACHE_FORMATS[kind][0]}.{digest}.npz", stem
 
 
 def _load_entry(entry: Path, kind: str):
@@ -463,17 +473,20 @@ def _no_store() -> None:
 
 
 def read_cached(path, kind: str):
-    """``(value, store)``: ``read_<kind>(path)``, through the parsed-input cache.
+    """``(value, store, digest)``: ``read_<kind>(path)``, through the parsed-input cache.
 
     ``kind`` is ``edge_list``, ``features_csv`` or ``labels_csv``. Entries
     live in ``__homsample_cache__`` beside the input, one ``.npz`` per input
-    file, named ``<file name>.<kind>.<format tag>.<sha256 of the bytes>.npz``:
-    the key is the file's content, so an edited file misses whatever its
-    name or time stamps. A hit loads the parsed arrays and ``store`` does
-    nothing. On a miss the reader parses the file and ``store()`` writes the
-    entry, replacing the file's entries for other bytes; call it only once
-    the value has passed the caller's checks. A failure to hash, load or
-    store falls back silently to the plain read.
+    file and kind, named ``<file name>.<kind>.<format tag>.<sha256 of the
+    bytes>.npz``: the key is the file's content, so an edited file misses
+    whatever its name or time stamps. A graph file may also have a
+    ``greedy_order`` entry (``greedy_order_cached``). A hit loads the parsed
+    arrays and ``store`` does nothing. On a miss the reader parses the file
+    and ``store()`` writes the entry, replacing the file's entries of this
+    kind for other bytes; call it only once the value has passed the
+    caller's checks. ``digest`` is the SHA-256 that keys the file's entries,
+    or None when the file is read uncached. A failure to hash, load or store
+    falls back silently to the plain read.
     """
     path = Path(path)
     try:
@@ -481,14 +494,43 @@ def read_cached(path, kind: str):
     except OSError:
         digest = None
     if digest is None:  # missing, unreadable, or a pipe that can be read only once
-        return _reader(kind)(path), _no_store
-    stem = f"{path.name}.{kind}"
-    entry = path.parent / CACHE_DIR / f"{stem}.{_CACHE_FORMATS[kind][0]}.{digest}.npz"
+        return _reader(kind)(path), _no_store, None
+    entry, stem = _entry_path(path, kind, digest)
     value = _load_entry(entry, kind)
     if value is not None:
-        return value, _no_store
+        return value, _no_store, digest
     value = _reader(kind)(path)
-    return value, partial(_store_entry, entry, stem, path, digest, _to_arrays(kind, value))
+    return value, partial(_store_entry, entry, stem, path, digest, _to_arrays(kind, value)), digest
+
+
+def greedy_order_cached(path, digest: str | None, g: Graph, gammas) -> np.ndarray:
+    """``sampling.greedy_order(g, gammas)``, through the cache entry of the graph file ``path``.
+
+    ``g`` is the graph ``read_cached(path, "edge_list")`` returned, with
+    ``digest``; a None digest computes the order uncached. The entry,
+    ``<file name>.greedy_order.<format tag>.<sha256 of the bytes>.npz``,
+    holds the longest order computed so far for these bytes, and its tag
+    carries the ``edge_list`` tag. A smaller budget takes the entry's
+    prefix, which is the order at that budget. A larger budget, or a
+    missing, truncated or malformed entry (wrong dtype or ndim, an id
+    outside [0, n), a repeated id, more ids than n) computes the order and
+    stores it in the entry's place. A failed store leaves the cache as it
+    was.
+    """
+    if digest is None:
+        return greedy_order(g, gammas)
+    path = Path(path)
+    budget = greedy_budget(g.n, gammas)
+    entry, stem = _entry_path(path, "greedy_order", digest)
+    order = _load_entry(entry, "greedy_order")
+    if order is not None and budget <= order.size <= g.n and order.min() >= 0 and order.max() < g.n:
+        seen = np.zeros(g.n, dtype=bool)
+        seen[order] = True
+        if np.count_nonzero(seen) == order.size:  # no id repeats
+            return order[:budget]
+    order = greedy_order(g, gammas)
+    _store_entry(entry, stem, path, digest, {"order": order})
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,30 @@ def lowest_score_nodes(scores: np.ndarray, gamma: float) -> np.ndarray:
     return np.sort(order[: _keep_count(scores.shape[0], gamma)])
 
 
+def greedy_budget(n: int, gammas) -> int:
+    """The largest deletion budget of the keep rates ``gammas`` on ``n`` nodes."""
+    return max(deletion_budget(n, gamma) for gamma in gammas)
+
+
 def greedy_order(g: Graph, gammas) -> np.ndarray:
     """Greedy deletion order at the largest deletion budget of the keep rates ``gammas``.
 
     The order at a smaller budget is a prefix of it: each deletion depends
-    only on the ones before it.
+    only on the ones before it (``tests/test_kernels.py`` pins this). So one
+    order serves every rate of a sweep, and the CLI's cache
+    (``io_formats.greedy_order_cached``) keeps each graph's longest order
+    and slices it for any smaller budget. Change the ``greedy_order`` tag in
+    ``io_formats._CACHE_FORMATS`` whenever the order this returns for a
+    given graph changes.
     """
-    budget = max(deletion_budget(g.n, gamma) for gamma in gammas)
-    return _kernels.greedy_min_degree_order(g.indptr, g.indices, budget)
+    return _kernels.greedy_min_degree_order(g.indptr, g.indices, greedy_budget(g.n, gammas))
+
+
+def check_greedy(greedy: np.ndarray, n: int, gammas) -> None:
+    """Raise ValueError unless the deletion order ``greedy`` covers every budget of ``gammas``."""
+    need = greedy_budget(n, gammas)
+    if greedy.shape[0] < need:
+        raise ValueError(f"greedy order holds {greedy.shape[0]} deletions, need {need}")
 
 
 def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
@@ -115,8 +131,8 @@ def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
     n_remove = g.n - keep_n
     if greedy is None:
         greedy = greedy_order(g, (spec.gamma,))
-    elif greedy.shape[0] < n_remove:
-        raise ValueError(f"greedy order holds {greedy.shape[0]} deletions, need {n_remove}")
+    else:
+        check_greedy(greedy, g.n, (spec.gamma,))
     kept_mask = np.ones(g.n, dtype=bool)
     kept_mask[greedy[:n_remove]] = False
     return np.flatnonzero(kept_mask)

@@ -2,12 +2,13 @@
 
 import errno
 import os
+import shutil
 import threading
 
 import numpy as np
 import pytest
 
-from homsample import io_formats
+from homsample import _kernels, io_formats
 from homsample.cli import main
 from homsample.errors import DataError
 from homsample.io_formats import CACHE_DIR, read_cached, read_edge_list, read_features_csv, read_labels_csv
@@ -54,6 +55,19 @@ def _count_parses(monkeypatch):
     return calls
 
 
+def _count_orders(monkeypatch):
+    """Wrap the greedy kernel; the returned list holds each call's budget."""
+    budgets = []
+    order = _kernels.greedy_min_degree_order
+
+    def counted(indptr, indices, n_remove):
+        budgets.append(n_remove)
+        return order(indptr, indices, n_remove)
+
+    monkeypatch.setattr(_kernels, "greedy_min_degree_order", counted)
+    return budgets
+
+
 def _run(argv, out, capsys):
     """Exit code, stdout and output bytes of one command."""
     rc = main(argv)
@@ -72,25 +86,33 @@ COMMANDS = {
 }
 
 
+GREEDY_COMMANDS = {"sample_greedy", "experiment"}
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_warm_run_is_byte_identical_to_cold(data, tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "out"
     argv = [a.replace("{out}", str(out)) for a in COMMANDS[command]] + _files(data)
     calls = _count_parses(monkeypatch)
+    orders = _count_orders(monkeypatch)
     cold = _run(argv, out, capsys)
     assert cold[0] == 0 and calls == dict.fromkeys(READERS, 1)
-    assert len(_entries(data)) == 3
+    greedy = command in GREEDY_COMMANDS
+    assert len(_entries(data)) == 3 + greedy
+    assert len(_entries(data, "graph.txt.greedy_order.")) == greedy
+    assert len(orders) == greedy
     if out.exists():
         os.replace(out, tmp_path / "cold")
     warm = _run(argv, out, capsys)
     assert calls == dict.fromkeys(READERS, 1)  # the warm run parsed nothing
+    assert len(orders) == greedy  # ... and computed no greedy order
     assert warm == cold
 
 
 def test_hit_equals_the_parse(data, monkeypatch):
     parsed = {}
     for kind, name in FILES.items():
-        value, store = read_cached(data / name, kind)
+        value, store, _ = read_cached(data / name, kind)
         store()
         parsed[kind] = value
     calls = _count_parses(monkeypatch)
@@ -245,3 +267,114 @@ def test_pipe_is_read_once_and_not_cached(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ref
     assert _entries(tmp_path, "features.csv.") == []
+
+
+def _greedy_argv(gamma, out, d):
+    return ["sample", "--gamma", str(gamma), "--method", "degree_greedy", "--out", str(out), *_files(d)]
+
+
+def _order_entry(d):
+    (name,) = _entries(d, "graph.txt.greedy_order.")
+    return d / CACHE_DIR / name
+
+
+def _fresh(argv, out, d, capsys):
+    """The outputs of ``argv`` run with an empty cache."""
+    shutil.rmtree(d / CACHE_DIR, ignore_errors=True)
+    return _run(argv, out, capsys)
+
+
+def test_larger_budget_recomputes_and_replaces_the_order(data, tmp_path, capsys, monkeypatch):
+    orders = _count_orders(monkeypatch)
+    small = _run(_greedy_argv(0.7, tmp_path / "small", data), tmp_path / "small", capsys)
+    large = _run(_greedy_argv(0.2, tmp_path / "large", data), tmp_path / "large", capsys)
+    assert small[0] == large[0] == 0
+    assert orders == [36, 96]  # floor(0.3 * 120), then floor(0.8 * 120)
+    with np.load(_order_entry(data), allow_pickle=False) as npz:
+        assert npz["order"].size == 96
+    again = _run(_greedy_argv(0.7, tmp_path / "again", data), tmp_path / "again", capsys)
+    assert orders == [36, 96]  # the smaller budget takes the longer order's prefix
+    assert again[0] == 0 and again[2] == small[2]
+    fresh = _fresh(_greedy_argv(0.2, tmp_path / "fresh", data), tmp_path / "fresh", data, capsys)
+    assert fresh[::2] == large[::2]  # exit code and output bytes; stdout names the directory
+
+
+def _spoil_order(how):
+    def spoil(entry):
+        with np.load(entry, allow_pickle=False) as npz:
+            order = npz["order"]
+        if how == "dtype":
+            order = order.astype(np.int32)
+        elif how == "ndim":
+            order = order.reshape(1, -1)
+        elif how == "negative":
+            order[1] = -1
+        elif how == "n":
+            order[1] = 120
+        elif how == "repeat":
+            order[1] = order[0]
+        elif how == "over_n":
+            order = np.concatenate([order, order, order])  # 180 ids of 120 nodes
+        elif how == "truncate":
+            return _truncate(entry)
+        np.savez(entry, order=order)
+    return spoil
+
+
+@pytest.mark.parametrize("how", ["dtype", "ndim", "negative", "n", "repeat", "over_n", "truncate"])
+def test_malformed_order_is_computed_again(data, tmp_path, capsys, monkeypatch, how):
+    argv = _greedy_argv(0.5, tmp_path / "out", data)
+    ref = _run(argv, tmp_path / "out", capsys)
+    entry = _order_entry(data)
+    stored = entry.read_bytes()
+    _spoil_order(how)(entry)
+    orders = _count_orders(monkeypatch)
+    assert _run(argv, tmp_path / "out", capsys) == ref
+    assert orders == [60]
+    assert _order_entry(data).read_bytes() == stored
+
+
+def test_rewritten_graph_misses_the_order(data, tmp_path, capsys, monkeypatch):
+    argv = _greedy_argv(0.5, tmp_path / "out", data)
+    assert _run(argv, tmp_path / "out", capsys)[0] == 0
+    old = _order_entry(data).name
+    graph = data / "graph.txt"
+    lines = graph.read_text().splitlines(keepends=True)
+    graph.write_text("".join(lines[:-1]))  # one edge fewer
+    orders = _count_orders(monkeypatch)
+    rewritten = _run(argv, tmp_path / "out", capsys)
+    assert orders == [60]
+    assert _order_entry(data).name != old  # the old bytes' order is gone
+    assert _fresh(argv, tmp_path / "out", data, capsys) == rewritten
+
+
+def test_synth_experiment_leaves_no_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "experiment", "--synth", "blocks,n=60,intra=0.2,inter=0.02,d=3,tau=0.2,seed=2",
+        "--rates", "0.5", "--methods", "degree_greedy", "--metrics-only", "--out", "out",
+    ])
+    assert rc == 0
+    assert list(tmp_path.rglob(CACHE_DIR)) == []
+
+
+@pytest.mark.parametrize("command", ["sample_greedy", "experiment"])
+def test_unwritable_directory_gives_the_same_outputs(data, tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    argv = [a.replace("{out}", str(out)) for a in COMMANDS[command]] + _files(data)
+    ref = _run(argv, out, capsys)
+    shutil.rmtree(data / CACHE_DIR)
+    os.replace(out, tmp_path / "ref")
+
+    def denied(call):  # EACCES inside the data directory, as without write access to it
+        def guarded(path, *args, **kwargs):
+            if str(path).startswith(str(data)):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return call(path, *args, **kwargs)
+        return guarded
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "open", denied(os.open))
+        m.setattr(os, "mkdir", denied(os.mkdir))
+        assert _run(argv, out, capsys) == ref
+    assert not (data / CACHE_DIR).exists()

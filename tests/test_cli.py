@@ -486,23 +486,57 @@ def test_experiment_dead_worker_exits_3_naming_a_cell(tmp_path, monkeypatch, cap
     assert multiprocessing.active_children() == []
 
 
-def test_multi_rate_greedy_sweep_matches_single_rate_sweeps(tmp_path):
+def _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, method):
+    """Sidecars of a multi-rate ``method`` sweep whose reports match one-rate sweeps'."""
     synth = "blocks,n=150,intra=0.1,inter=0.02,d=4,tau=0.2,seed=7"
     rates = ["0.6", "0.1", "1", "0.35", "0.9"]  # the largest budget is not first
-    base = ["experiment", "--synth", synth, "--methods", "degree_greedy", "--metrics-only"]
+    base = ["experiment", "--synth", synth, "--methods", method, "--metrics-only"]
     assert main(base + ["--rates", ",".join(rates), "--out", str(tmp_path / "all")]) == 0
     for i, rate in enumerate(rates):
         one = tmp_path / f"one{i}"
         assert main(base + ["--rates", rate, "--out", str(one)]) == 0
-        single = read_report(one / "report__r00_degree_greedy_rep000.json")
-        multi = read_report(tmp_path / "all" / f"report__r{i:02d}_degree_greedy_rep000.json")
-        # the seed is derived from the cell's place in the plan; greedy reads none
+        single = read_report(one / f"report__r00_{method}_rep000.json")
+        multi = read_report(tmp_path / "all" / f"report__r{i:02d}_{method}_rep000.json")
+        # the seed is derived from the cell's place in the plan; neither method reads it
         assert report_to_text(replace(single, seed=multi.seed)) == report_to_text(multi)
-    # each cell's sidecar carries the shared order's one-off time, outside its sample phase
     sidecars = [json.loads(p.read_text()) for p in sorted((tmp_path / "all").glob("timings__*.json"))]
     assert len(sidecars) == len(rates)
+    return sidecars
+
+
+def test_multi_rate_greedy_sweep_matches_single_rate_sweeps(tmp_path):
+    sidecars = _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, "degree_greedy")
+    # each cell's sidecar carries the shared order's one-off time, outside its sample phase
     assert all(set(t) == {"sample", "metrics", "greedy_order"} for t in sidecars)
     assert len({t["greedy_order"] for t in sidecars}) == 1
+
+
+def test_multi_rate_homophily_sweep_matches_single_rate_sweeps(tmp_path):
+    sidecars = _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, "homophily")
+    assert all(set(t) == {"sample", "metrics"} for t in sidecars)
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--gamma", "0.5", "--method", "random", "--seed", "-1"],
+    ["sample", "--gamma", "0.5", "--method", "homophily", "--seed", "-1"],
+    ["sample", "--gamma", "0.5", "--method", "degree_greedy", "--seed", "-1"],
+    ["train-eval", "--gamma", "0.5", "--method", "random", "--epochs", "2", "--seed", "-3"],
+    ["experiment", "--rates", "0.5", "--methods", "random", "--reps", "2", "--metrics-only", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error_before_any_read(tmp_path, capsys, command):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "y.csv")
+    out = tmp_path / "out"
+    rc = main([
+        *command, "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+        "--labels", str(tmp_path / "y.csv"), "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("homsample: usage error: argument --seed: must be >= 0, got -")
+    assert not out.exists()
+    assert not (tmp_path / "__homsample_cache__").exists()  # no input was read
 
 
 def test_bench_trivial_run(capsys):

@@ -20,7 +20,7 @@ from homsample.experiments import (
 )
 from homsample.gnn import GnnConfig
 from homsample.graphon import two_block_spec
-from homsample.sampling import SampleSpec
+from homsample.sampling import SampleSpec, greedy_order, sample_ids
 
 from util import bench_table, loglog_slope, random_graph
 
@@ -216,3 +216,34 @@ def test_cell_raising_out_of_the_pool_drops_cells_not_started(monkeypatch, tmp_p
         run_experiment(plan, g)
     assert len(list(tmp_path.glob("started_*"))) < 16
     assert multiprocessing.active_children() == []
+
+
+def _canonical(outdir):
+    paths = sorted(outdir.glob("report__*.json")) + [outdir / "summary.csv"]
+    return {p.name: p.read_bytes() for p in paths}
+
+
+def test_given_greedy_order_gives_the_same_outputs(tmp_path):
+    ds = hs.generate_dataset(two_block_spec(n=150, intra=0.1, inter=0.02, feature_dim=4,
+                                            noise=0.2, seed=5))
+    g, x = ds.graph, ds.features
+    plan = ExperimentPlan(rates=(0.6, 0.1, 0.9), methods=("homophily", "random", "degree_greedy"),
+                          reps=2, metrics_only=True)
+    rows = run_experiment(plan, g, x=x, outdir=tmp_path / "none")
+    ref = _canonical(tmp_path / "none")
+    assert len(ref) == 3 * 4 + 1
+    for name, order in (("exact", greedy_order(g, plan.rates)), ("longer", greedy_order(g, (0.0,)))):
+        assert run_experiment(plan, g, x=x, outdir=tmp_path / name, greedy=order) == rows
+        assert _canonical(tmp_path / name) == ref
+
+
+def test_short_greedy_order_raises_what_sample_ids_raises(tmp_path):
+    g = random_graph(np.random.default_rng(5), 40, 0.1)
+    plan = ExperimentPlan(rates=(0.5, 0.25), methods=("degree_greedy",), metrics_only=True)
+    short = greedy_order(g, (0.5,))
+    with pytest.raises(ValueError) as own:
+        sample_ids(g, SampleSpec(gamma=0.25, method="degree_greedy"), greedy=short)
+    with pytest.raises(ValueError) as sweep:
+        run_experiment(plan, g, outdir=tmp_path / "out", greedy=short)
+    assert str(sweep.value) == str(own.value) == "greedy order holds 20 deletions, need 30"
+    assert not (tmp_path / "out").exists()
