@@ -308,7 +308,7 @@ def _spoil_order(how):
         elif how == "ndim":
             order = order.reshape(1, -1)
         elif how == "negative":
-            order[1] = -1
+            order[1] -= 120  # the same node under numpy's negative indexing
         elif how == "n":
             order[1] = 120
         elif how == "repeat":
