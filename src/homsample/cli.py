@@ -140,7 +140,11 @@ def _gnn_config(args) -> GnnConfig:
 
 
 def _load_dataset(args, need_features=True, need_labels=False):
-    """(graph, features, labels, the graph file's cache digest) of the command's files."""
+    """(graph, features, labels, digests) of the command's files.
+
+    ``digests`` maps ``edge_list`` and, when read, ``features_csv`` to the
+    cache digest ``read_cached`` gave the file (None when read uncached).
+    """
     if need_features and not args.features:
         raise DataError("this command requires --features")
     if need_labels and not args.labels:
@@ -167,14 +171,14 @@ def _load_dataset(args, need_features=True, need_labels=False):
     check_sizes(g, x, y)
     for store in stores:  # only inputs that passed every check are cached
         store()
-    return g, x, y, digests["edge_list"]
+    return g, x, y, digests
 
 
-def _greedy(args, g, digest):
+def _greedy(args, g, digests):
     """The cached greedy deletion order for a ``degree_greedy`` ``--method``, else None."""
     if args.method != "degree_greedy":
         return None
-    return greedy_order_cached(args.graph, digest, g, (args.gamma,))
+    return greedy_order_cached(args.graph, digests["edge_list"], g, (args.gamma,))
 
 
 def cmd_synth(args) -> int:
@@ -192,6 +196,7 @@ def cmd_synth(args) -> int:
 def cmd_homophily(args) -> int:
     g, x, _, _ = _load_dataset(args)
     xh = normalize_features(x)
+    del x  # only the standardized copy is needed (peak RSS)
     h = feature_homophily(g, xh)
     tr = laplacian_trace(g)
     print(f"h_G = {h:.17g}")
@@ -204,20 +209,23 @@ def cmd_homophily(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g, x, y, digest = _load_dataset(args, need_features=args.method == "homophily")
+    g, x, y, digests = _load_dataset(args, need_features=args.method == "homophily")
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    result = sample(g, spec, x=x, labels=y, greedy=_greedy(args, g, digest))
-    write_sample(result, args.out)
+    result = sample(g, spec, x=x, labels=y, greedy=_greedy(args, g, digests))
+    features_from = None if x is None else (args.features, digests["features_csv"], g.n)
+    write_sample(result, args.out, features_from)
     print(f"kept {len(result.kept)} of {g.n} nodes -> {args.out}")
     return 0
 
 
 def cmd_metrics(args) -> int:
     g, x, _, _ = _load_dataset(args)
+    rows = [x]
+    del x  # subgraph_metrics takes the only reference and frees the raw rows once standardized
     try:
-        metrics = subgraph_metrics(g.n, g.edges, x)
+        metrics = subgraph_metrics(g.n, g.edges, rows.pop())
     except ValueError as exc:  # every feature column constant: no trace bound
         raise DataError(f"{args.features}: {exc}") from None
     report = MetricsReport(
@@ -231,11 +239,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_train_eval(args) -> int:
-    g, x, y, digest = _load_dataset(args, need_labels=True)
+    g, x, y, digests = _load_dataset(args, need_labels=True)
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    greedy = _greedy(args, g, digest)
+    greedy = _greedy(args, g, digests)
     report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem, greedy=greedy)
     print(f"accuracy = {report.accuracy:.17g}")
     if args.out:
@@ -254,13 +262,13 @@ def cmd_experiment(args) -> int:
         dataset_id = "synth"
     else:
         train = not args.metrics_only
-        g, x, y, digest = _load_dataset(
+        g, x, y, digests = _load_dataset(
             args, need_features=train or "homophily" in methods, need_labels=train
         )
         dataset_id = Path(args.graph).stem
         if "degree_greedy" in methods:
             t0 = time.perf_counter()
-            greedy = greedy_order_cached(args.graph, digest, g, args.rates)
+            greedy = greedy_order_cached(args.graph, digests["edge_list"], g, args.rates)
             greedy_s = time.perf_counter() - t0
     plan = ExperimentPlan(
         rates=args.rates,

@@ -107,6 +107,7 @@ def subgraph_metrics(n: int, edges, x: np.ndarray | None) -> dict:
     RSS).
     """
     xh = None if x is None else normalize_features(x)
+    del x  # the raw rows are freed here when the caller kept no reference (peak RSS)
     u, v = edges()
     tr = 2.0 * u.shape[0]
     count, _ = _kernels.component_labels(n, u, v)
@@ -153,9 +154,17 @@ def run_cell(
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    xk = None if x is None else np.take(x, kept, axis=0)
+
+    def rows():
+        return None if x is None else np.take(x, kept, axis=0)
+
+    # Training needs the raw rows again. A metrics-only cell holds no
+    # reference to them, so subgraph_metrics frees them once standardized.
+    xk = None if gnn is None else rows()
     metrics = subgraph_metrics(
-        kept.size, lambda: induced_edges(g.n, g.edges() if edges is None else edges, kept), xk
+        kept.size,
+        lambda: induced_edges(g.n, g.edges() if edges is None else edges, kept),
+        rows() if xk is None else xk,
     )
     timings["metrics"] = time.perf_counter() - t0
 

@@ -23,7 +23,10 @@ per usable CPU, and the file is byte-identical to a one-process write.
 The readers are pure parsers. ``read_cached`` puts a content-keyed cache in
 front of them: each parse is stored once as binary arrays next to the input
 and reloaded while the file's bytes stay the same. ``greedy_order_cached``
-keeps a graph file's greedy deletion order in the same cache.
+keeps a graph file's greedy deletion order in the same cache, and
+``write_features_csv`` keeps there which rows of a features file are their
+own ``%.17g`` rendering: a later sample copies those rows from the file
+instead of formatting them, and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def _write_blocks(fh, row_fmt: str, cols: tuple, rows: int) -> None:
         fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
+def _write_rows(fh, row_fmt: str, *cols: np.ndarray, ready=None) -> None:
     """Write row i of the table ``cols`` as ``row_fmt % tuple(row i)``.
 
     The table's columns are those of ``cols`` side by side: each is 1-d (one
@@ -87,7 +90,9 @@ def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
     output, while this process formats the first straight into ``fh``; the
     children's bytes are then appended in order, so the file is the one the
     serial loop writes. A range whose child fails is formatted here instead,
-    and no child or temp file outlives the call.
+    and no child or temp file outlives the call. ``ready(k)``, when given, is
+    called once the first k rows are in ``fh`` while the children format the
+    others.
     """
     n_rows = cols[0].shape[0]
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
@@ -108,6 +113,8 @@ def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
             pids.append(_fork_range(fd, row_fmt, rows_of(lo, hi), rows))
         _write_blocks(fh, row_fmt, rows_of(0, bounds[1]), rows)
         fh.flush()
+        if ready is not None:
+            ready(bounds[1])
         for i, (fd, lo, hi) in enumerate(ranges):
             ok = pids[i] is not None and os.waitpid(pids[i], 0)[1] == 0
             pids[i] = None
@@ -319,13 +326,24 @@ def _read_features_lines(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def write_features_csv(x, path) -> None:
-    """One CSV row per node; raises after writing the rows before a non-finite one."""
+def write_features_csv(x, path, source=None) -> None:
+    """One CSV row per node; raises after writing the rows before a non-finite one.
+
+    ``source`` is ``(file, digest, n, ids)`` when row i of ``x`` is row
+    ``ids[i]`` (sorted, distinct) of the n-row features ``file`` that
+    ``read_cached`` parsed under ``digest``. The file's rows that are their
+    own ``%.17g`` rendering are then copied from it rather than formatted
+    (``_copy_rows``); the bytes written are the same either way.
+    """
     x = np.asarray(x, dtype=np.float64)
     finite = np.isfinite(x).all(axis=1)
     rows = x.shape[0] if finite.all() else int(finite.argmin())
+    row_fmt = ",".join(["%.17g"] * x.shape[1]) + "\n"
     with open(Path(path), "w") as fh:
-        _write_rows(fh, ",".join(["%.17g"] * x.shape[1]) + "\n", x[:rows])
+        if source is None or rows < x.shape[0] or not _copy_rows(fh, row_fmt, x, *source):
+            fh.seek(0)
+            fh.truncate()
+            _write_rows(fh, row_fmt, x[:rows])
     for v in x[rows : rows + 1].flat:  # raises on the first non-finite value
         _fmt_float(v)
 
@@ -389,6 +407,12 @@ _CACHE_FORMATS = {
 # An order is computed from the parsed graph, so its tag carries the
 # edge_list tag after its own: a reader change retires the orders as well.
 _CACHE_FORMATS["greedy_order"] = ("1-" + _CACHE_FORMATS["edge_list"][0], {"order": ("int64", 1)})
+# Which rows of a features file ``write_features_csv`` may copy; it carries
+# the features_csv tag for the same reason. Change its own tag whenever what
+# ``write_features_csv`` writes for given values changes.
+_CACHE_FORMATS["feature_rows"] = (
+    "1-" + _CACHE_FORMATS["features_csv"][0], {"offsets": ("int64", 1), "checked": ("bool", 1)}
+)
 
 
 def _reader(kind: str):
@@ -431,6 +455,8 @@ def _load_entry(entry: Path, kind: str):
         return None
     if any(a[k].dtype != dt or a[k].ndim != nd for k, (dt, nd) in schema.items()):
         return None
+    if kind == "feature_rows":  # checked against the file by _copy_rows
+        return a["offsets"], a["checked"]
     if kind != "edge_list":
         (value,) = a.values()
         return value if value.size else None
@@ -442,15 +468,16 @@ def _load_entry(entry: Path, kind: str):
     return _freeze(Graph(n=n, m=indices.size // 2, indptr=indptr, indices=indices))
 
 
-def _store_entry(entry: Path, stem: str, source: Path, digest: str, arrays: dict) -> None:
-    """Write ``entry`` if ``source`` still hashes to ``digest``; drop the other ``stem`` entries.
+def _store_entry(entry: Path, stem: str, source: Path | None, digest: str, arrays: dict) -> None:
+    """Write ``entry`` unless ``source`` no longer hashes to ``digest``; drop the other ``stem`` entries.
 
+    A None ``source`` is not hashed again: its caller has just hashed it.
     The entry appears whole or not at all (a temp file and ``os.replace``).
     Any OSError (a read-only directory, a full disk) leaves the cache as it was.
     """
     tmp = entry.parent / f".{entry.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
-        if _file_digest(source) != digest:  # rewritten while it was parsed
+        if source is not None and _file_digest(source) != digest:  # rewritten while it was parsed
             return
         entry.parent.mkdir(exist_ok=True)
         # O_EXCL: a unique name per writer; mode 0o666 less the umask, as for open()
@@ -480,7 +507,9 @@ def read_cached(path, kind: str):
     file and kind, named ``<file name>.<kind>.<format tag>.<sha256 of the
     bytes>.npz``: the key is the file's content, so an edited file misses
     whatever its name or time stamps. A graph file may also have a
-    ``greedy_order`` entry (``greedy_order_cached``). A hit loads the parsed
+    ``greedy_order`` entry (``greedy_order_cached``), and a features file a
+    ``feature_rows`` entry (``write_features_csv`` given the file and its
+    ``digest`` as its ``source``). A hit loads the parsed
     arrays and ``store`` does nothing. On a miss the reader parses the file
     and ``store()`` writes the entry, replacing the file's entries of this
     kind for other bytes; call it only once the value has passed the
@@ -533,15 +562,206 @@ def greedy_order_cached(path, digest: str | None, g: Graph, gammas) -> np.ndarra
     return order
 
 
+# Bytes of the features file read and hashed at a time by the copy pass.
+# Larger chunks save little time, and freed ones can stay in the process's
+# heap: five warm samples at n = 80k left RSS 4.0 MB higher with 1 MiB
+# chunks, 1.2 MB with these.
+_CHUNK_BYTES = 1 << 18
+
+
+def _row_chunks(src, h, offsets):
+    """Yield ``(r0, buf, starts)``: whole rows r0, r0 + 1, ... of the open binary file ``src``.
+
+    Row r0 + i is ``buf[starts[i]:starts[i + 1]]``, newline included, and
+    each ``buf`` holds about ``_CHUNK_BYTES``. Every byte of the file is
+    hashed into ``h``, the bytes after the last yielded row included. With
+    ``offsets`` (row r starts at ``offsets[r]``) the rows are cut there and a
+    short read ends the rows; with None they end at each ``\n``.
+    """
+    if offsets is not None:
+        cuts = np.searchsorted(offsets, np.arange(_CHUNK_BYTES, offsets[-1], _CHUNK_BYTES))
+        bounds = np.unique(np.concatenate(([0], cuts, [offsets.size - 1]))).tolist()
+        for r0, r1 in zip(bounds, bounds[1:]):
+            buf = src.read(int(offsets[r1] - offsets[r0]))
+            h.update(buf)
+            if len(buf) < offsets[r1] - offsets[r0]:  # the file shrank: the hash differs
+                return
+            yield r0, buf, offsets[r0 : r1 + 1] - offsets[r0]
+    else:
+        r0, carry = 0, b""
+        while block := src.read(_CHUNK_BYTES):
+            h.update(block)
+            buf = carry + block
+            ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10) + 1
+            carry = buf[ends[-1] :] if ends.size else buf
+            if ends.size:
+                yield r0, buf, np.concatenate(([0], ends))
+                r0 += ends.size
+    while block := src.read(_CHUNK_BYTES):
+        h.update(block)
+
+
+def _gather(buf: bytes, starts: np.ndarray, rows: np.ndarray) -> bytes:
+    """The local ``rows`` (sorted) of ``buf`` cut at ``starts``, one after another."""
+    if not rows.size:
+        return b""
+    brk = np.flatnonzero(np.diff(rows) != 1) + 1  # runs of consecutive rows are one slice
+    lo = starts[rows[np.concatenate(([0], brk))]].tolist()
+    hi = starts[rows[np.concatenate((brk - 1, [rows.size - 1]))] + 1].tolist()
+    view = memoryview(buf)
+    return b"".join([view[a:b] for a, b in zip(lo, hi)])
+
+
+class _Blocks(list):
+    """A sink for ``_write_blocks`` that keeps each formatted block."""
+
+    write = list.append
+
+
+def _copy_rows(fh, row_fmt: str, x: np.ndarray, source, digest: str | None, n: int, ids) -> bool:
+    """Write ``x``, rows ``ids`` of the features file ``source``, to ``fh`` in one pass over ``source``.
+
+    The ``feature_rows`` entry of ``source`` for ``digest`` holds each row's
+    byte offsets and a ``checked`` mask of rows proven equal to their
+    ``row_fmt`` rendering, or empty arrays when the file is not copyable.
+    A not copyable file, or a None digest, returns False at once: the caller
+    formats ``x``. Otherwise the pass hashes ``source`` and:
+
+    - with a valid entry, copies each checked kept row and formats the
+      unchecked ones in blocks (``_write_blocks``); a block equal to its
+      source bytes marks its rows checked and is copied too, and the first
+      block that differs marks the file not copyable and has the kept rows
+      from it on formatted (``_copy_checked``);
+    - with no entry or a malformed one, formats ``x`` with ``_write_rows``
+      and compares the kept rows' source bytes with what it wrote, marking
+      them checked; the first difference, or a file that does not split into
+      exactly n ``\n``-terminated rows, marks the file not copyable
+      (``_verify_rows``).
+
+    False when the pass's SHA-256 is not ``digest`` (the file changed since
+    it was parsed): the caller formats ``x`` again and nothing is stored.
+    Otherwise the entry is stored when the pass changed it, and True.
+    """
+    if digest is None:
+        return False
+    source = Path(source)
+    entry, stem = _entry_path(source, "feature_rows", digest)
+    ids = np.asarray(ids, dtype=np.int64)
+    h = hashlib.sha256()
+    with open(source, "rb") as src:
+        offsets, checked = _load_entry(entry, "feature_rows") or (None, None)
+        if offsets is None or not (
+            offsets.shape == (n + 1,) and checked.shape == (n,) and offsets[0] == 0
+            and offsets[-1] == os.fstat(src.fileno()).st_size and (offsets[1:] > offsets[:-1]).all()
+        ):
+            if offsets is not None and offsets.size == checked.size == 0:
+                return False
+            update = _verify_rows(fh, row_fmt, x, ids, n, src, h)  # missing or malformed: rebuilt
+        else:
+            update = _copy_checked(fh, row_fmt, x, ids, src, h, offsets, checked)
+    if h.hexdigest() != digest:
+        return False
+    if update is None:  # nothing newly checked
+        return True
+    arrays = update or (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))  # () is not copyable
+    _store_entry(entry, stem, None, digest, dict(zip(("offsets", "checked"), arrays)))
+    return True
+
+
+def _verify_rows(fh, row_fmt, x, ids, n, src, h):
+    """Format ``x`` into ``fh`` and compare the kept rows of ``src`` with what it wrote.
+
+    The comparison (``_compare_rows``) starts while forked children format
+    the later rows, and finishes once they are written. Returns the entry's
+    ``(offsets, checked)``, or () when the file is not copyable.
+    """
+    compare = _compare_rows(fh.name, ids, n, src, h)
+    next(compare)
+    _write_rows(fh, row_fmt, x, ready=compare.send)
+    fh.flush()
+    try:
+        compare.send(ids.size)
+    except StopIteration as done:
+        return done.value
+
+
+def _compare_rows(name, ids, n, src, h):
+    """A generator, sent the number of rows written to the file ``name`` so far.
+
+    It streams ``src`` (``_row_chunks``, rows ending at each ``\n``) and
+    compares its kept rows with the file, waiting for the next send whenever
+    a row is not written yet, and returns what ``_verify_rows`` returns once
+    sent ``ids.size``.
+    """
+    written = yield
+    ends, checked, same = [], np.zeros(n, dtype=bool), True
+    with open(name, "rb") as out:
+        for r0, buf, starts in _row_chunks(src, h, None):
+            ends.append(starts[1:] + (ends[-1][-1] if ends else 0))
+            if not same or r0 + starts.size - 1 > n:
+                same = False
+                continue
+            a, b = np.searchsorted(ids, (r0, r0 + starts.size - 1))
+            while b > written:
+                written = yield
+            want = _gather(buf, starts, ids[a:b] - r0)
+            same = out.read(len(want)) == want
+            checked[ids[a:b]] = True
+    while written < ids.size:
+        written = yield
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), *ends])
+    same = same and offsets.size == n + 1 and offsets[-1] == src.tell()
+    return (offsets, checked) if same else ()
+
+
+def _copy_checked(fh, row_fmt, x, ids, src, h, offsets, checked):
+    """Copy ``x``'s kept rows from ``src`` into ``fh``, formatting the unchecked ones to check them.
+
+    Returns the entry's new ``(offsets, checked)``, None when every kept row
+    was checked already, or () when a formatted block differed from its
+    source bytes (the file is not copyable).
+    """
+    rows = max(1, _BLOCK_VALUES // max(1, x.shape[1]))
+    out = fh.buffer
+    todo = ~checked[ids]
+    fresh = bool(todo.any())
+    for r0, buf, starts in _row_chunks(src, h, offsets):
+        if out is None:
+            continue  # hashing the rest
+        a, b = np.searchsorted(ids, (r0, r0 + starts.size - 1))
+        local, new = ids[a:b] - r0, np.flatnonzero(todo[a:b])
+        blocks = _Blocks()
+        if new.size:
+            _write_blocks(blocks, row_fmt, (x[a:b][new],), rows)
+        for i, block in enumerate(blocks):
+            part = new[i * rows : (i + 1) * rows]
+            if block.encode() != _gather(buf, starts, local[part]):
+                out.write(_gather(buf, starts, local[: part[0]]))
+                fh.flush()
+                _write_rows(fh, row_fmt, x[a + part[0] :])
+                out = None
+                break
+        else:
+            checked[ids[a:b][new]] = True
+            out.write(_gather(buf, starts, local))
+    if out is None:
+        return ()
+    return (offsets, checked) if fresh else None
+
+
 # ---------------------------------------------------------------------------
 # sample directories
 
 
-def write_sample(result: SampleResult, outdir) -> None:
+def write_sample(result: SampleResult, outdir, features_from=None) -> None:
     """Write kept ids (original), relabeled subgraph edges, id map, and data.
 
     A ``features.csv`` or ``labels.csv`` left in ``outdir`` by an earlier
     sample is deleted when this sample has none to write.
+    ``features_from`` is ``(file, digest, n)`` when ``result.features`` are
+    the kept rows of the n-row features file that ``read_cached`` parsed
+    under ``digest``: ``write_features_csv`` then copies the rows it can from
+    that file.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -551,8 +771,9 @@ def write_sample(result: SampleResult, outdir) -> None:
     write_edge_list(result.subgraph, outdir / "edges.txt")
     with open(outdir / "id_map.txt", "w") as fh:
         _write_rows(fh, "%d %d\n", np.arange(kept.size), kept)
+    source = None if features_from is None else (*features_from, kept)
     for a, name, write in (
-        (result.features, "features.csv", write_features_csv),
+        (result.features, "features.csv", partial(write_features_csv, source=source)),
         (result.labels, "labels.csv", write_labels_csv),
     ):
         if a is not None:

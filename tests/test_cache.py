@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from homsample import _kernels, io_formats
+from homsample import _kernels, cli, io_formats
 from homsample.cli import main
 from homsample.errors import DataError
 from homsample.io_formats import CACHE_DIR, read_cached, read_edge_list, read_features_csv, read_labels_csv
@@ -87,6 +87,7 @@ COMMANDS = {
 
 
 GREEDY_COMMANDS = {"sample_greedy", "experiment"}
+SAMPLE_COMMANDS = {"sample_homophily", "sample_random", "sample_greedy"}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -98,7 +99,8 @@ def test_warm_run_is_byte_identical_to_cold(data, tmp_path, capsys, monkeypatch,
     cold = _run(argv, out, capsys)
     assert cold[0] == 0 and calls == dict.fromkeys(READERS, 1)
     greedy = command in GREEDY_COMMANDS
-    assert len(_entries(data)) == 3 + greedy
+    assert len(_entries(data)) == 3 + greedy + (command in SAMPLE_COMMANDS)
+    assert len(_entries(data, "features.csv.feature_rows.")) == (command in SAMPLE_COMMANDS)
     assert len(_entries(data, "graph.txt.greedy_order.")) == greedy
     assert len(orders) == greedy
     if out.exists():
@@ -216,7 +218,7 @@ def test_failed_store_leaves_exit_0_and_the_same_outputs(data, tmp_path, capsys,
     assert _entries(data) == []  # no entry and no temp file left behind
     os.replace(out, tmp_path / "failed")
     assert _run(argv, out, capsys) == failed
-    assert len(_entries(data)) == 3
+    assert len(_entries(data)) == 4  # the three parses and the features file's rows
 
 
 @pytest.mark.parametrize("name, text", [
@@ -358,6 +360,19 @@ def test_synth_experiment_leaves_no_cache(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.rglob(CACHE_DIR)) == []
 
 
+def _deny_writes(m, d):
+    """EACCES from ``os.open`` and ``os.mkdir`` inside ``d``, as without write access to it."""
+    def denied(call):
+        def guarded(path, *args, **kwargs):
+            if str(path).startswith(str(d)):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return call(path, *args, **kwargs)
+        return guarded
+
+    m.setattr(os, "open", denied(os.open))
+    m.setattr(os, "mkdir", denied(os.mkdir))
+
+
 @pytest.mark.parametrize("command", ["sample_greedy", "experiment"])
 def test_unwritable_directory_gives_the_same_outputs(data, tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "out"
@@ -366,15 +381,209 @@ def test_unwritable_directory_gives_the_same_outputs(data, tmp_path, capsys, mon
     shutil.rmtree(data / CACHE_DIR)
     os.replace(out, tmp_path / "ref")
 
-    def denied(call):  # EACCES inside the data directory, as without write access to it
-        def guarded(path, *args, **kwargs):
-            if str(path).startswith(str(data)):
-                raise PermissionError(errno.EACCES, "Permission denied", str(path))
-            return call(path, *args, **kwargs)
-        return guarded
-
     with monkeypatch.context() as m:
-        m.setattr(os, "open", denied(os.open))
-        m.setattr(os, "mkdir", denied(os.mkdir))
+        _deny_writes(m, data)
         assert _run(argv, out, capsys) == ref
     assert not (data / CACHE_DIR).exists()
+
+
+# ---------------------------------------------------------------------------
+# feature rows copied from the features file (``feature_rows`` entries)
+
+
+def _count_feature_rows(monkeypatch):
+    """Wrap the block formatter; the returned list holds the feature rows of each call."""
+    rows = []
+    write_blocks = io_formats._write_blocks
+
+    def counted(fh, row_fmt, cols, n_rows):
+        if "%.17g" in row_fmt:
+            rows.append(cols[0].shape[0])
+        return write_blocks(fh, row_fmt, cols, n_rows)
+
+    monkeypatch.setattr(io_formats, "_write_blocks", counted)
+    return rows
+
+
+def _rows_entry(d):
+    """(offsets, checked) of the features file's ``feature_rows`` entry."""
+    (name,) = _entries(d, "features.csv.feature_rows.")
+    with np.load(d / CACHE_DIR / name, allow_pickle=False) as npz:
+        return npz["offsets"], npz["checked"]
+
+
+def _sample_argv(out, d, method="random", gamma=0.5, seed=3):
+    return ["sample", "--gamma", str(gamma), "--method", method, "--seed", str(seed), "--out", str(out), *_files(d)]
+
+
+def _uncached(argv, out, capsys, monkeypatch):
+    """The outputs of ``argv`` with every file read uncached (no digest)."""
+    def no_digest(path):
+        raise OSError(errno.EIO, "unreadable")
+
+    with monkeypatch.context() as m:
+        m.setattr(io_formats, "_file_digest", no_digest)
+        return _run(argv, out, capsys)
+
+
+def _resave(d):
+    np.savetxt(d / "features.csv", read_features_csv(d / "features.csv"), delimiter=",")
+
+
+def _no_final_newline(d):
+    f = d / "features.csv"
+    f.write_bytes(f.read_bytes()[:-1])
+
+
+def _crlf(d):
+    f = d / "features.csv"
+    f.write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+
+
+@pytest.mark.parametrize("form, copyable", [
+    (None, True),  # as synth wrote it
+    (_resave, False),  # np.savetxt's default "%.18e"
+    (_no_final_newline, False),
+    (_crlf, False),
+])
+def test_warm_cold_and_uncached_samples_are_identical(data, tmp_path, capsys, monkeypatch, form, copyable):
+    if form is not None:
+        form(data)
+    runs = [("homophily", 0.5), ("random", 0.5), ("degree_greedy", 0.3), ("random", 0.9)]
+    outs = {}
+    for i, (method, gamma) in enumerate(runs):
+        out = tmp_path / f"s{i}"
+        argv = _sample_argv(out, data, method, gamma)
+        ref = _uncached(argv, out, capsys, monkeypatch)
+        os.replace(out, tmp_path / f"ref{i}")
+        assert ref[0] == 0
+        outs[i] = ref
+        assert _run(argv, out, capsys) == ref  # the first run on these rows
+        offsets, checked = _rows_entry(data)
+        assert (offsets.size > 0) == copyable
+        os.replace(out, tmp_path / f"first{i}")
+    for i, (method, gamma) in enumerate(runs):  # every row checked, or the file not copyable
+        out = tmp_path / f"s{i}"
+        assert _run(_sample_argv(out, data, method, gamma), out, capsys) == outs[i]
+    if copyable:
+        offsets, checked = _rows_entry(data)
+        assert offsets[-1] == (data / "features.csv").stat().st_size and checked.sum() >= 108
+        assert _fresh(_sample_argv(out, data, "random", 0.9), out, data, capsys) == outs[3]
+
+
+def test_second_sample_of_the_same_rows_formats_no_feature_row(data, tmp_path, capsys, monkeypatch):
+    rows = _count_feature_rows(monkeypatch)
+    argv = _sample_argv(tmp_path / "out", data, "homophily")
+    cold = _run(argv, tmp_path / "out", capsys)
+    assert sum(rows) == 60  # 60 of 120 kept rows formatted, then compared with the file
+    assert _rows_entry(data)[1].sum() == 60
+    warm = _run(argv, tmp_path / "out", capsys)
+    assert sum(rows) == 60  # ... and copied from it the second time
+    assert warm == cold
+
+
+def _decanonicalize(d, row):
+    """Write one more leading zero into the first cell of ``row`` (0-based): same value, other bytes."""
+    f = d / "features.csv"
+    lines = f.read_bytes().splitlines(keepends=True)
+    sign = lines[row][:1] if lines[row][:1] in b"+-" else b""
+    lines[row] = sign + b"0" + lines[row][len(sign) :]
+    f.write_bytes(b"".join(lines))
+
+
+def test_first_mismatch_marks_the_file_not_copyable(data, tmp_path, capsys, monkeypatch):
+    first = _sample_argv(tmp_path / "first", data, gamma=0.9, seed=1)
+    second = _sample_argv(tmp_path / "second", data, gamma=0.5, seed=2)
+    assert main(first) == 0 and main(second) == 0
+    capsys.readouterr()
+    kept1 = np.loadtxt(tmp_path / "first" / "kept.txt", dtype=np.int64)
+    kept2 = np.loadtxt(tmp_path / "second" / "kept.txt", dtype=np.int64)
+    new = np.setdiff1d(kept2, kept1)  # kept by the second sample only
+    row = int(new[0])
+    shutil.rmtree(data / CACHE_DIR)
+    _decanonicalize(data, row)
+    refs = {}
+    for name, argv in (("first", first), ("second", second)):
+        refs[name] = _uncached(argv, tmp_path / name, capsys, monkeypatch)
+        shutil.rmtree(tmp_path / name)
+    rows = _count_feature_rows(monkeypatch)
+    assert _run(first, tmp_path / "first", capsys) == refs["first"]
+    offsets, checked = _rows_entry(data)
+    assert offsets.size == 121 and not checked[row]  # copyable: the changed row was not kept
+    del rows[:]
+    assert _run(second, tmp_path / "second", capsys) == refs["second"]
+    # the unchecked rows in one block, then every kept row from the first of them on
+    assert rows == [new.size, kept2.size - int(np.searchsorted(kept2, row))]
+    offsets, checked = _rows_entry(data)
+    assert offsets.size == checked.size == 0  # not copyable
+    chunks = []
+    monkeypatch.setattr(io_formats, "_row_chunks", lambda *a: chunks.append(a) or iter(()))
+    os.replace(tmp_path / "first", tmp_path / "first_ref")
+    assert _run(first, tmp_path / "first", capsys) == refs["first"]
+    assert chunks == []  # no comparison, and no read of the file
+    assert _rows_entry(data)[0].size == 0
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_features_rewritten_before_the_copy_pass_are_formatted(data, tmp_path, capsys, monkeypatch, warm):
+    argv = _sample_argv(tmp_path / "out", data)
+    ref = _uncached(argv, tmp_path / "out", capsys, monkeypatch)
+    if warm:
+        assert _run(argv, tmp_path / "out", capsys) == ref
+    before = {name: (data / CACHE_DIR / name).read_bytes() for name in _entries(data)}
+    x = data / "features.csv"
+    draw = cli.sample
+
+    def sample_then_rewrite(*args, **kwargs):
+        result = draw(*args, **kwargs)
+        x.write_text(x.read_text().replace("1", "2"))  # the same size and row lengths
+        return result
+
+    monkeypatch.setattr(cli, "sample", sample_then_rewrite)
+    assert _run(argv, tmp_path / "out", capsys) == ref
+    rows = {name: (data / CACHE_DIR / name).read_bytes() for name in _entries(data, "features.csv.feature_rows.")}
+    assert rows == {k: v for k, v in before.items() if ".feature_rows." in k}  # nothing stored
+
+
+def _spoil_rows(how):
+    def spoil(entry):
+        with np.load(entry, allow_pickle=False) as npz:
+            offsets, checked = npz["offsets"], npz["checked"]
+        if how == "dtype":
+            offsets = offsets.astype(np.int32)
+        elif how == "not_increasing":
+            offsets[5] = offsets[4]
+        elif how == "size":
+            offsets[-1] += 1
+        elif how == "mask_length":
+            checked = checked[:-1]
+        np.savez(entry, offsets=offsets, checked=checked)
+    return spoil
+
+
+@pytest.mark.parametrize("how", ["dtype", "not_increasing", "size", "mask_length"])
+def test_malformed_rows_entry_is_rebuilt(data, tmp_path, capsys, monkeypatch, how):
+    argv = _sample_argv(tmp_path / "out", data)
+    ref = _run(argv, tmp_path / "out", capsys)
+    offsets, checked = _rows_entry(data)
+    (name,) = _entries(data, "features.csv.feature_rows.")
+    _spoil_rows(how)(data / CACHE_DIR / name)
+    rows = _count_feature_rows(monkeypatch)
+    assert _run(argv, tmp_path / "out", capsys) == ref
+    assert sum(rows) == 60  # every kept row formatted and compared again
+    assert _entries(data, "features.csv.feature_rows.") == [name]
+    rebuilt = _rows_entry(data)
+    assert rebuilt[0].dtype == np.int64 and np.array_equal(rebuilt[0], offsets)
+    assert np.array_equal(rebuilt[1], checked)
+
+
+def test_unwritable_directory_gives_the_same_sample(data, tmp_path, capsys, monkeypatch):
+    assert _run(_sample_argv(tmp_path / "first", data, seed=1), tmp_path / "first", capsys)[0] == 0
+    entries = {name: (data / CACHE_DIR / name).read_bytes() for name in _entries(data)}
+    argv = _sample_argv(tmp_path / "out", data, seed=2)  # rows the entry has not checked
+    ref = _uncached(argv, tmp_path / "out", capsys, monkeypatch)
+    shutil.rmtree(tmp_path / "out")
+    with monkeypatch.context() as m:
+        _deny_writes(m, data)
+        assert _run(argv, tmp_path / "out", capsys) == ref
+    assert {name: (data / CACHE_DIR / name).read_bytes() for name in _entries(data)} == entries
