@@ -16,9 +16,16 @@ Gradients are computed by hand. Past the output layer the gradient g is
 shifted once, G = [g | Sg | ...]; with S symmetric, Z^T G is the stacked
 tap gradient and G @ W^T the layer-input gradient. Training keeps the
 stacked matrices as views into one flat parameter vector, so Adam with
-decoupled weight decay is a few whole-vector operations; ``GnnModel``
-holds the stacked matrices too. Everything is float64 numpy and deterministic
-for a fixed seed.
+decoupled weight decay is a few in-place whole-vector operations;
+``GnnModel`` holds the stacked matrices too.
+
+Apart from the sparse products S a, an epoch allocates no n-row array:
+``train`` builds one ``_Workspace`` per run for each layer's output (relu
+applied in place), product and input gradient, and a relu mask; the
+softmax and the logit gradient overwrite the logits. ``np.multiply(g, mask, out=g)`` is the bool-to-float product of
+``g * mask``, so every float and sign of zero is an allocating epoch's.
+``forward`` builds a workspace without the backward arrays. Everything is
+float64 numpy and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -95,25 +102,34 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
     the plain alternatives.
     """
     n = g.n
+    if kind == "gcn_norm":
+        # one pass: each sorted row takes its diagonal after its smaller columns, and
+        # A + I holds only ones, so entry (i, j) is dinv[i] * dinv[j]
+        deg = g.degrees()
+        below = np.zeros(g.indices.shape[0] + 1, dtype=np.int64)  # running count of j < i entries
+        np.cumsum(g.indices < np.repeat(np.arange(n), deg), out=below[1:])
+        at = g.indptr[:-1] + below[g.indptr[1:]] - below[g.indptr[:-1]]
+        del below
+        indices = np.insert(g.indices, at, np.arange(n))
+        dinv = 1.0 / np.sqrt(deg + 1.0)
+        data = np.repeat(dinv, deg + 1) * dinv[indices]
+        return sp.csr_array((data, indices, g.indptr + np.arange(n + 1)), shape=(n, n))
     a = sp.csr_array((np.ones(g.indices.shape[0]), g.indices, g.indptr), shape=(n, n))
     if kind == "adjacency":
         return a
-    deg = np.asarray(a.sum(axis=1)).reshape(-1)
     if kind == "laplacian":
+        deg = np.asarray(a.sum(axis=1)).reshape(-1)
         return (sp.diags_array(deg, format="csr") - a).tocsr()
-    if kind == "gcn_norm":
-        a = a + sp.eye_array(n, format="csr")
-        dinv = 1.0 / np.sqrt(deg + 1.0)
-        return a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
-def _shift_stack(s, z, count: int) -> np.ndarray:
+def _shift_stack(s, z, count: int, out=None) -> np.ndarray:
     """[z | S z | ... | S^(count-1) z] as one (n, count * width) array, by iterated shifts."""
     if count == 1:
         return z
     n, d = z.shape
-    out = np.empty((n, count * d))
+    if out is None:
+        out = np.empty((n, count * d))
     out[:, :d] = z
     for k in range(1, count):
         z = s @ z
@@ -121,13 +137,16 @@ def _shift_stack(s, z, count: int) -> np.ndarray:
     return out
 
 
-def _horner(s, y, taps: int) -> np.ndarray:
-    """sum_k S^k Y_k over the ``taps`` column blocks Y_k of y: a = Y_(K-1), then a = S a + Y_k."""
+def _horner(s, y, taps: int, out=None) -> np.ndarray:
+    """sum_k S^k Y_k over the ``taps`` column blocks Y_k of y: a = Y_(K-1), then a = S a + Y_k.
+
+    The last sum goes into ``out`` when given; ``taps`` must then be above 1.
+    """
     d = y.shape[1] // taps
     a = y[:, (taps - 1) * d :]
     for k in range(taps - 2, -1, -1):
         a = s @ a
-        a += y[:, k * d : (k + 1) * d]
+        a = np.add(a, y[:, k * d : (k + 1) * d], out=a if k or out is None else out)
     return a
 
 
@@ -140,16 +159,44 @@ def _views(flat, shapes) -> list[np.ndarray]:
     return views
 
 
-def _forward(weights, s, xs, cfg) -> list[np.ndarray]:
-    """Every layer's input, then the logits: [xs, z_1, ..., z_(L-1), logits].
+class _Workspace:
+    """The n-row arrays of one run's epochs, allocated once and overwritten by each.
+
+    ``out[l]`` is layer l's output and ``prod[l]`` its product Z @ W_l, which
+    backward reuses for [g | S g | ...]. Given the training nodes ``idx`` and
+    labels ``y``, it also holds each layer's input gradient ``grad_in[l]``,
+    the relu mask ``pos``, the nodes outside ``idx`` and the flat positions
+    of (idx, y) in the logits.
+    """
+
+    def __init__(self, weights, n: int, taps: int, idx=None, y=None):
+        widths = [w.shape[1] // (taps if l else 1) for l, w in enumerate(weights)]
+        self.out = [np.empty((n, d)) for d in widths]
+        self.prod = [np.empty((n, w.shape[1])) if l and taps > 1 else None for l, w in enumerate(weights)]
+        if idx is None:  # forward only
+            return
+        self.grad_in = [None] + [np.empty((n, w.shape[0])) for w in weights[1:]]
+        self.pos = np.empty((n, widths[0]), dtype=bool) if len(weights) > 1 else None
+        self.rest = np.setdiff1d(np.arange(n), idx)
+        self.flat = idx * widths[-1] + y
+
+
+def _forward(weights, s, xs, taps: int, ws: _Workspace) -> list[np.ndarray]:
+    """Every layer's input, then the logits: [xs, z_1, ..., z_(L-1), logits], in ``ws``.
 
     ``weights`` are the stacked tap matrices and ``xs`` the
     first layer's shifted inputs (``_shift_stack`` of the features).
     """
     zs = [xs]
     for l, w in enumerate(weights):
-        a = xs @ w if l == 0 else _horner(s, zs[-1] @ w, cfg.taps)
-        zs.append(a if l == len(weights) - 1 else np.maximum(a, 0.0))
+        out = ws.out[l]
+        if l == 0 or taps == 1:
+            np.matmul(zs[-1], w, out=out)
+        else:
+            _horner(s, np.matmul(zs[-1], w, out=ws.prod[l]), taps, out)
+        if l < len(weights) - 1:
+            np.maximum(out, 0.0, out=out)
+        zs.append(out)
     return zs
 
 
@@ -162,13 +209,17 @@ def forward(model: GnnModel, g: Graph, x) -> np.ndarray:
     d_in = model.weights[0].shape[0] // model.config.taps
     if x.shape[1] != d_in:
         raise ValueError(f"features have width {x.shape[1]}, model expects {d_in}")
-    return _forward(model.weights, s, _shift_stack(s, x, model.config.taps), model.config)[-1]
+    taps = model.config.taps
+    ws = _Workspace(model.weights, g.n, taps)
+    return _forward(model.weights, s, _shift_stack(s, x, taps), taps, ws)[-1]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Row softmax, into ``out`` when given (``logits`` itself for an in-place softmax)."""
     if logits.shape[1] >= 8:
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+        np.exp(e, out=e)
+        return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
     # Short rows column by column: numpy's row reductions cost more than the
     # arithmetic here. Below 8 columns numpy's row sum adds left to right, so
     # this is the same sum; from 8 on it keeps eight partial sums.
@@ -176,41 +227,45 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     top = cols[0].copy()
     for c in cols[1:]:
         np.maximum(top, c, out=top)
-    e = np.exp(logits - top[:, None])
+    e = np.subtract(logits, top[:, None], out=out)
+    np.exp(e, out=e)
     total = e[:, 0].copy()
     for c in e.T[1:]:
         total += c
-    return e / total[:, None]
+    return np.divide(e, total[:, None], out=e)
 
 
-def loss_and_grads(weights, grads, s, xs, idx, y, cfg) -> float:
+def loss_and_grads(weights, grads, s, xs, idx, y, cfg, ws: _Workspace | None = None) -> float:
     """Cross-entropy loss over the nodes ``idx`` with labels ``y``.
 
     Writes the loss's gradient w.r.t. each stacked tap matrix of
     ``weights`` into the same-shaped array of ``grads``.
     ``xs`` is the first layer's ``_shift_stack`` of the features; training
-    computes it, ``idx`` and ``y`` once for all epochs.
+    computes it, ``idx``, ``y`` and the workspace ``ws`` once for all
+    epochs. Without ``ws`` the call builds its own.
     """
-    zs = _forward(weights, s, xs, cfg)
-    p = _softmax(zs[-1])
-    loss = float(-np.mean(np.log(p[idx, y] + 1e-300)))
+    if ws is None:
+        ws = _Workspace(weights, xs.shape[0], cfg.taps, idx, y)
+    zs = _forward(weights, s, xs, cfg.taps, ws)
+    g = _softmax(zs[-1], out=zs[-1])
+    loss = float(-np.mean(np.log(g.take(ws.flat) + 1e-300)))
 
-    g = np.zeros_like(p)  # gradient w.r.t. the current layer's pre-activation
-    g[idx] = p[idx]
-    g[idx, y] -= 1.0
+    # g becomes the gradient w.r.t. the current layer's pre-activation
+    g[ws.rest] = 0.0
+    g.ravel()[ws.flat] -= 1.0
     g /= idx.size
     last = len(weights) - 1
     for l in range(last, -1, -1):
         if l < last:  # through the relu, read off its output
-            g = g * (zs[l + 1] > 0.0)
+            np.multiply(g, np.greater(zs[l + 1], 0.0, out=ws.pos), out=g)
         if l == 0:
             np.matmul(xs.T, g, out=grads[0])
         else:
             # G = [g | S g | ...]: Z^T G is every tap's gradient Z^T S^k g
             # (S symmetric), G W^T the layer-input gradient sum_k S^k g H_k^T
-            shifted = _shift_stack(s, g, cfg.taps)
+            shifted = _shift_stack(s, g, cfg.taps, ws.prod[l])
             np.matmul(zs[l].T, shifted, out=grads[l])
-            g = shifted @ weights[l].T
+            g = np.matmul(shifted, weights[l].T, out=ws.grad_in[l])
     return loss
 
 
@@ -263,22 +318,32 @@ def train(g: Graph, x, labels, train_mask, cfg: GnnConfig, n_classes: int | None
     idx = np.flatnonzero(mask)
     y = labels[idx]
 
+    ws = _Workspace(weights, g.n, cfg.taps, idx, y)
+    t1, step = np.empty_like(theta), np.empty_like(theta)
+
     history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        loss = loss_and_grads(weights, grads, s, xs, idx, y, cfg)
+        loss = loss_and_grads(weights, grads, s, xs, idx, y, cfg, ws)
         if not np.isfinite(loss):
             raise NumericalError(f"diverged: non-finite loss at epoch {epoch}")
         history[epoch] = loss
         t = epoch + 1
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
+        # in place: step = (m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * theta,
+        # the decay decoupled from the adaptive step; theta -= lr * step
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=t1)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        step += cfg.weight_decay * theta  # decoupled weight decay, outside the adaptive step
-        theta -= cfg.lr * step
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=t1)
+        v += np.multiply(t1, grad, out=t1)
+        np.sqrt(np.divide(v, bc2, out=t1), out=t1)
+        t1 += ADAM_EPS
+        np.divide(m, bc1, out=step)
+        step /= t1
+        step += np.multiply(theta, cfg.weight_decay, out=t1)
+        step *= cfg.lr
+        theta -= step
     return GnnModel(
         weights=weights,
         config=cfg,

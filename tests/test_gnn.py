@@ -9,17 +9,29 @@ from homsample.gnn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    SHIFT_CHOICES,
     GnnConfig,
     GnnModel,
     _horner,
     _shift_stack,
     _softmax,
+    _Workspace,
     init_weights,
     loss_and_grads,
     shift_matrix,
 )
 
-from util import adjacency_dense, dense_laplacian, random_edge_pairs, random_graph
+from util import (
+    adjacency_dense,
+    allocating_loss_and_grads,
+    allocating_train,
+    compose_shift,
+    composed_shift,
+    dense_laplacian,
+    random_edge_pairs,
+    random_graph,
+    same_bits,
+)
 
 
 def make_model(rng_seed, d_in, n_classes, **cfg_kw):
@@ -143,7 +155,11 @@ def test_softmax_equals_row_reduction_form_bit_for_bit(k):
         logits = rng.standard_normal((500, k)) * scale
         z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
-        assert np.array_equal(_softmax(logits), e / e.sum(axis=1, keepdims=True))
+        expected = e / e.sum(axis=1, keepdims=True)
+        assert same_bits(_softmax(logits), expected)
+        buffered = logits.copy()
+        assert _softmax(buffered, out=buffered) is buffered
+        assert same_bits(buffered, expected)
 
 
 def test_config_dims_chain():
@@ -238,6 +254,53 @@ def test_flat_adam_equals_per_tap_adam_bit_for_bit(layers, taps):
         assert all(np.array_equal(a, b) for a, b in zip(per_tap(got, l, taps), ref, strict=True))
 
 
+EPOCH_ARCHS = [(1, 1), (2, 1), (2, 2), (3, 3)]
+
+
+def epoch_problem(seed, layers, taps, shift, partial):
+    """A 40-node graph with isolated nodes, features, 3-class labels, a train mask and a config."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    g = random_graph(rng, n, 0.08)
+    x = rng.standard_normal((n, 5))
+    labels = rng.integers(0, 3, size=n)
+    mask = rng.uniform(size=n) < 0.5 if partial else np.ones(n, dtype=bool)
+    cfg = GnnConfig(layers=layers, taps=taps, hidden=6, shift=shift, epochs=15, lr=0.01, seed=seed)
+    return g, x, labels, mask, cfg
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("shift", SHIFT_CHOICES)
+@pytest.mark.parametrize("layers, taps", EPOCH_ARCHS)
+def test_buffered_epoch_equals_allocating_epoch_bit_for_bit(layers, taps, shift, partial):
+    g, x, labels, mask, cfg = epoch_problem(30, layers, taps, shift, partial)
+    s = shift_matrix(g, shift)
+    w, grads, xs, idx, y = stacked_problem(cfg, s, x, labels, mask, 3)
+    ref_loss, ref_grads = allocating_loss_and_grads(w, s, xs, idx, y, taps)
+    assert same_bits(loss_and_grads(w, grads, s, xs, idx, y, cfg), ref_loss)
+    assert all(same_bits(a, b) for a, b in zip(grads, ref_grads, strict=True))
+    # one workspace across calls on other weights equals a fresh one per call
+    ws = _Workspace(w, g.n, taps, idx, y)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        w = [h + 0.1 * rng.standard_normal(h.shape) for h in w]
+        fresh = [np.empty_like(h) for h in w]
+        loss = loss_and_grads(w, fresh, s, xs, idx, y, cfg)
+        assert same_bits(loss_and_grads(w, grads, s, xs, idx, y, cfg, ws), loss)
+        assert all(same_bits(a, b) for a, b in zip(grads, fresh, strict=True))
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("shift", SHIFT_CHOICES)
+@pytest.mark.parametrize("layers, taps", EPOCH_ARCHS)
+def test_train_equals_allocating_training_bit_for_bit(layers, taps, shift, partial):
+    g, x, labels, mask, cfg = epoch_problem(32, layers, taps, shift, partial)
+    model = hs.train(g, x, labels, mask, cfg, n_classes=3)
+    ref_weights, ref_history = allocating_train(g, x, labels, mask, cfg, 3)
+    assert same_bits(model.loss_history, ref_history)
+    assert all(same_bits(a, b) for a, b in zip(model.weights, ref_weights, strict=True))
+
+
 def test_trained_weights_are_independent_arrays_of_documented_shapes():
     rng = np.random.default_rng(19)
     g = random_graph(rng, 20, 0.2)
@@ -275,18 +338,10 @@ def test_shift_matrix_kinds():
 
 
 def shift_matrix_coo_reference(g, kind):
-    """The shift built from COO (row, column) pairs, row ids repeated from the CSR."""
+    """The shift composed on an adjacency built from COO pairs, row ids repeated from the CSR."""
     n = g.n
     src = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
-    a = sp.csr_array((np.ones(src.shape[0]), (src, g.indices)), shape=(n, n))
-    if kind == "adjacency":
-        return a
-    deg = np.asarray(a.sum(axis=1)).reshape(-1)
-    if kind == "laplacian":
-        return (sp.diags_array(deg, format="csr") - a).tocsr()
-    a = a + sp.eye_array(n, format="csr")
-    dinv = 1.0 / np.sqrt(deg + 1.0)
-    return a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
+    return compose_shift(sp.csr_array((np.ones(src.shape[0]), (src, g.indices)), shape=(n, n)), kind)
 
 
 def test_shift_matrix_equals_coo_construction():
@@ -300,6 +355,21 @@ def test_shift_matrix_equals_coo_construction():
             for name in ("data", "indices", "indptr"):
                 a, b = getattr(got, name), getattr(ref, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n, kind, name)
+    assert isolated > 13
+
+
+def test_one_pass_gcn_norm_equals_composed_operator():
+    # values and products, not index dtypes: those are scipy's choice, which varies by version
+    rng = np.random.default_rng(21)
+    isolated = 0
+    for n, p in [(1, 0.0), (2, 1.0), (12, 0.0), (40, 0.03), (60, 0.3), (300, 0.02)]:
+        g = random_graph(rng, n, p)
+        isolated += int(np.sum(g.degrees() == 0))
+        got, ref = shift_matrix(g, "gcn_norm"), composed_shift(g, "gcn_norm")
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (n, name)
+        z = rng.standard_normal((n, 3))
+        assert same_bits(got @ z, ref @ z), n
     assert isolated > 13
 
 

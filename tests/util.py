@@ -1,8 +1,11 @@
 """Shared helpers and independent dense oracles for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
 import homsample as hs
+from homsample.features import normalize_features
+from homsample.gnn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, init_weights
 
 
 def random_edge_pairs(rng, n, p):
@@ -82,3 +85,108 @@ def loglog_slope(sizes, times):
 def bench_table(rows):
     """One line of (m, d, t_compute) per bench row, for timing tests' failure messages."""
     return "\n".join(f"  m={r.m} d={r.d} t_compute={r.t_compute:.6f}s" for r in rows)
+
+
+def compose_shift(a, kind):
+    """A shift operator composed from scipy operations on the adjacency ``a``.
+
+    ``gcn_norm`` is built as (A + I), scaled by D^-1/2 on each side.
+    """
+    if kind == "adjacency":
+        return a
+    deg = np.asarray(a.sum(axis=1)).reshape(-1)
+    if kind == "laplacian":
+        return (sp.diags_array(deg, format="csr") - a).tocsr()
+    a = a + sp.eye_array(a.shape[0], format="csr")
+    dinv = 1.0 / np.sqrt(deg + 1.0)
+    return a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
+
+
+def composed_shift(g, kind):
+    """``compose_shift`` on the graph's CSR adjacency."""
+    a = sp.csr_array((np.ones(g.indices.shape[0]), g.indices, g.indptr), shape=(g.n, g.n))
+    return compose_shift(a, kind)
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: every float and the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def allocating_shift_stack(s, z, taps):
+    """[z | S z | ... | S^(taps-1) z], every shift a new array."""
+    cols = [z]
+    for _ in range(taps - 1):
+        cols.append(s @ cols[-1])
+    return np.hstack(cols)
+
+
+def allocating_forward(weights, s, xs, taps):
+    """[xs, z_1, ..., logits] of the stacked-tap GCN, every step a new array."""
+    zs = [xs]
+    for l, w in enumerate(weights):
+        if l == 0:
+            a = xs @ w
+        else:
+            y = zs[-1] @ w
+            d = y.shape[1] // taps
+            a = y[:, (taps - 1) * d :]
+            for k in range(taps - 2, -1, -1):
+                a = s @ a
+                a += y[:, k * d : (k + 1) * d]
+        zs.append(a if l == len(weights) - 1 else np.maximum(a, 0.0))
+    return zs
+
+
+def allocating_loss_and_grads(weights, s, xs, idx, y, taps):
+    """(loss, stacked gradients) of one epoch that allocates each array it computes.
+
+    The softmax is the row-reduction form, which ``gnn._softmax`` equals bit
+    for bit (``test_softmax_equals_row_reduction_form_bit_for_bit``).
+    """
+    zs = allocating_forward(weights, s, xs, taps)
+    e = np.exp(zs[-1] - zs[-1].max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(p[idx, y] + 1e-300)))
+    g = np.zeros_like(p)
+    g[idx] = p[idx]
+    g[idx, y] -= 1.0
+    g /= idx.size
+    grads = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        if l < len(weights) - 1:
+            g = g * (zs[l + 1] > 0.0)
+        if l == 0:
+            grads[0] = xs.T @ g
+        else:
+            shifted = allocating_shift_stack(s, g, taps)
+            grads[l] = zs[l].T @ shifted
+            g = shifted @ weights[l].T
+    return loss, grads
+
+
+def allocating_train(g, x, labels, mask, cfg, n_classes):
+    """(stacked weights, loss history) of full-batch Adam over ``allocating_loss_and_grads``."""
+    s = composed_shift(g, cfg.shift)
+    xs = allocating_shift_stack(s, normalize_features(x).values, cfg.taps)
+    idx = np.flatnonzero(mask)
+    init = init_weights(cfg, x.shape[1], n_classes)
+    ends = np.cumsum([w.size for w in init])[:-1]
+    theta = np.concatenate([w.ravel() for w in init])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    history = []
+    for epoch in range(cfg.epochs):
+        weights = [part.reshape(w.shape) for part, w in zip(np.split(theta, ends), init)]
+        loss, grads = allocating_loss_and_grads(weights, s, xs, idx, labels[idx], cfg.taps)
+        history.append(loss)
+        grad = np.concatenate([h.ravel() for h in grads])
+        t = epoch + 1
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        theta = theta - cfg.lr * (step + cfg.weight_decay * theta)
+    weights = [part.reshape(w.shape) for part, w in zip(np.split(theta, ends), init)]
+    return weights, np.array(history)
