@@ -25,8 +25,9 @@ front of them: each parse is stored once as binary arrays next to the input
 and reloaded while the file's bytes stay the same. ``greedy_order_cached``
 keeps a graph file's greedy deletion order in the same cache, and
 ``write_features_csv`` keeps there which rows of a features file are their
-own ``%.17g`` rendering: a later sample copies those rows from the file
-instead of formatting them, and writes the same bytes.
+own ``%.17g`` rendering: a sample formats only its kept rows not shown so
+yet, and copies every kept row from the file in one hashing pass that
+checks those, writing the same bytes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import os
 import re
 import signal
 import stat
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
@@ -76,7 +78,7 @@ def _write_blocks(fh, row_fmt: str, cols: tuple, rows: int) -> None:
         fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def _write_rows(fh, row_fmt: str, *cols: np.ndarray, ready=None) -> None:
+def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
     """Write row i of the table ``cols`` as ``row_fmt % tuple(row i)``.
 
     The table's columns are those of ``cols`` side by side: each is 1-d (one
@@ -90,9 +92,8 @@ def _write_rows(fh, row_fmt: str, *cols: np.ndarray, ready=None) -> None:
     output, while this process formats the first straight into ``fh``; the
     children's bytes are then appended in order, so the file is the one the
     serial loop writes. A range whose child fails is formatted here instead,
-    and no child or temp file outlives the call. ``ready(k)``, when given, is
-    called once the first k rows are in ``fh`` while the children format the
-    others.
+    and no child or temp file outlives the call. ``fh`` may itself be an
+    unlinked temp file (``_copy_rows``): only its name's directory is used.
     """
     n_rows = cols[0].shape[0]
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
@@ -113,8 +114,6 @@ def _write_rows(fh, row_fmt: str, *cols: np.ndarray, ready=None) -> None:
             pids.append(_fork_range(fd, row_fmt, rows_of(lo, hi), rows))
         _write_blocks(fh, row_fmt, rows_of(0, bounds[1]), rows)
         fh.flush()
-        if ready is not None:
-            ready(bounds[1])
         for i, (fd, lo, hi) in enumerate(ranges):
             ok = pids[i] is not None and os.waitpid(pids[i], 0)[1] == 0
             pids[i] = None
@@ -569,34 +568,35 @@ def greedy_order_cached(path, digest: str | None, g: Graph, gammas) -> np.ndarra
 _CHUNK_BYTES = 1 << 18
 
 
+def _row_offsets(src, n: int) -> np.ndarray | None:
+    """Where each row of the binary file ``src`` starts, then the file's size; rows end at each ``\\n``.
+
+    None when the file is not exactly n rows with a final ``\\n``.
+    """
+    ends, size = [np.zeros(1, dtype=np.int64)], 0
+    while block := src.read(_CHUNK_BYTES):
+        ends.append(np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10) + (size + 1))
+        size += len(block)
+    offsets = np.concatenate(ends)
+    return offsets if offsets.size == n + 1 and offsets[-1] == size else None
+
+
 def _row_chunks(src, h, offsets):
     """Yield ``(r0, buf, starts)``: whole rows r0, r0 + 1, ... of the open binary file ``src``.
 
-    Row r0 + i is ``buf[starts[i]:starts[i + 1]]``, newline included, and
-    each ``buf`` holds about ``_CHUNK_BYTES``. Every byte of the file is
-    hashed into ``h``, the bytes after the last yielded row included. With
-    ``offsets`` (row r starts at ``offsets[r]``) the rows are cut there and a
-    short read ends the rows; with None they end at each ``\n``.
+    Row r starts at ``offsets[r]``; row r0 + i is ``buf[starts[i]:starts[i + 1]]``,
+    newline included, and each ``buf`` holds about ``_CHUNK_BYTES``. Every
+    byte of the file is hashed into ``h``, the bytes after the last row
+    included; a short read ends the rows.
     """
-    if offsets is not None:
-        cuts = np.searchsorted(offsets, np.arange(_CHUNK_BYTES, offsets[-1], _CHUNK_BYTES))
-        bounds = np.unique(np.concatenate(([0], cuts, [offsets.size - 1]))).tolist()
-        for r0, r1 in zip(bounds, bounds[1:]):
-            buf = src.read(int(offsets[r1] - offsets[r0]))
-            h.update(buf)
-            if len(buf) < offsets[r1] - offsets[r0]:  # the file shrank: the hash differs
-                return
-            yield r0, buf, offsets[r0 : r1 + 1] - offsets[r0]
-    else:
-        r0, carry = 0, b""
-        while block := src.read(_CHUNK_BYTES):
-            h.update(block)
-            buf = carry + block
-            ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10) + 1
-            carry = buf[ends[-1] :] if ends.size else buf
-            if ends.size:
-                yield r0, buf, np.concatenate(([0], ends))
-                r0 += ends.size
+    cuts = np.searchsorted(offsets, np.arange(_CHUNK_BYTES, offsets[-1], _CHUNK_BYTES))
+    bounds = np.unique(np.concatenate(([0], cuts, [offsets.size - 1]))).tolist()
+    for r0, r1 in zip(bounds, bounds[1:]):
+        buf = src.read(int(offsets[r1] - offsets[r0]))
+        h.update(buf)
+        if len(buf) < offsets[r1] - offsets[r0]:  # the file shrank: the hash differs
+            return
+        yield r0, buf, offsets[r0 : r1 + 1] - offsets[r0]
     while block := src.read(_CHUNK_BYTES):
         h.update(block)
 
@@ -612,31 +612,28 @@ def _gather(buf: bytes, starts: np.ndarray, rows: np.ndarray) -> bytes:
     return b"".join([view[a:b] for a, b in zip(lo, hi)])
 
 
-class _Blocks(list):
-    """A sink for ``_write_blocks`` that keeps each formatted block."""
-
-    write = list.append
+_NOT_COPYABLE = {"offsets": np.empty(0, dtype=np.int64), "checked": np.empty(0, dtype=bool)}
 
 
 def _copy_rows(fh, row_fmt: str, x: np.ndarray, source, digest: str | None, n: int, ids) -> bool:
-    """Write ``x``, rows ``ids`` of the features file ``source``, to ``fh`` in one pass over ``source``.
+    """Write ``x``, rows ``ids`` of the features file ``source``, to ``fh``, copying the rows it can.
 
     The ``feature_rows`` entry of ``source`` for ``digest`` holds each row's
     byte offsets and a ``checked`` mask of rows proven equal to their
     ``row_fmt`` rendering, or empty arrays when the file is not copyable.
     A not copyable file, or a None digest, returns False at once: the caller
-    formats ``x``. Otherwise the pass hashes ``source`` and:
+    formats ``x``. A missing or malformed entry is rebuilt with every row
+    unchecked, from one scan for ``\\n`` (``_row_offsets``); a file that is
+    not one ``\\n``-terminated row per node is marked not copyable instead.
 
-    - with a valid entry, copies each checked kept row and formats the
-      unchecked ones in blocks (``_write_blocks``); a block equal to its
-      source bytes marks its rows checked and is copied too, and the first
-      block that differs marks the file not copyable and has the kept rows
-      from it on formatted (``_copy_checked``);
-    - with no entry or a malformed one, formats ``x`` with ``_write_rows``
-      and compares the kept rows' source bytes with what it wrote, marking
-      them checked; the first difference, or a file that does not split into
-      exactly n ``\n``-terminated rows, marks the file not copyable
-      (``_verify_rows``).
+    The unchecked kept rows are formatted first (``_write_rows``, so across
+    processes) into a temp file beside ``fh``, unlinked as soon as it is
+    opened. One pass over ``source`` then hashes it and, chunk by chunk,
+    compares the chunk's unchecked kept rows with the next bytes of the temp
+    file, marking them checked, and copies the chunk's kept rows to ``fh``.
+    The first chunk that differs marks the file not copyable: its kept rows
+    before the first unchecked one are copied, and ``x`` from that row on
+    is formatted.
 
     False when the pass's SHA-256 is not ``digest`` (the file changed since
     it was parsed): the caller formats ``x`` again and nothing is stored.
@@ -656,97 +653,39 @@ def _copy_rows(fh, row_fmt: str, x: np.ndarray, source, digest: str | None, n: i
         ):
             if offsets is not None and offsets.size == checked.size == 0:
                 return False
-            update = _verify_rows(fh, row_fmt, x, ids, n, src, h)  # missing or malformed: rebuilt
-        else:
-            update = _copy_checked(fh, row_fmt, x, ids, src, h, offsets, checked)
+            offsets, checked = _row_offsets(src, n), np.zeros(n, dtype=bool)
+            if offsets is None:
+                _store_entry(entry, stem, source, digest, _NOT_COPYABLE)
+                return False
+            src.seek(0)
+        todo = ~checked[ids]
+        tmp = Path(fh.name).with_name(f".{Path(fh.name).name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        with open(tmp, "x+") as made:
+            os.unlink(tmp)
+            _write_rows(made, row_fmt, x if todo.all() else x[todo])  # x itself: no copy on a first sample
+            made.seek(0)
+            out = fh.buffer
+            for r0, buf, starts in _row_chunks(src, h, offsets):
+                if out is None:
+                    continue  # hashing the rest
+                a, b = np.searchsorted(ids, (r0, r0 + starts.size - 1))
+                local, new = ids[a:b] - r0, np.flatnonzero(todo[a:b])
+                want = _gather(buf, starts, local[new])
+                if made.buffer.read(len(want)) != want:
+                    out.write(_gather(buf, starts, local[: new[0]]))
+                    fh.flush()
+                    _write_rows(fh, row_fmt, x[a + new[0] :])
+                    out = None
+                else:
+                    checked[ids[a:b][new]] = True
+                    out.write(want if new.size == local.size else _gather(buf, starts, local))
     if h.hexdigest() != digest:
         return False
-    if update is None:  # nothing newly checked
+    if out is not None and not todo.any():  # nothing newly checked
         return True
-    arrays = update or (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))  # () is not copyable
-    _store_entry(entry, stem, None, digest, dict(zip(("offsets", "checked"), arrays)))
+    arrays = _NOT_COPYABLE if out is None else {"offsets": offsets, "checked": checked}
+    _store_entry(entry, stem, None, digest, arrays)
     return True
-
-
-def _verify_rows(fh, row_fmt, x, ids, n, src, h):
-    """Format ``x`` into ``fh`` and compare the kept rows of ``src`` with what it wrote.
-
-    The comparison (``_compare_rows``) starts while forked children format
-    the later rows, and finishes once they are written. Returns the entry's
-    ``(offsets, checked)``, or () when the file is not copyable.
-    """
-    compare = _compare_rows(fh.name, ids, n, src, h)
-    next(compare)
-    _write_rows(fh, row_fmt, x, ready=compare.send)
-    fh.flush()
-    try:
-        compare.send(ids.size)
-    except StopIteration as done:
-        return done.value
-
-
-def _compare_rows(name, ids, n, src, h):
-    """A generator, sent the number of rows written to the file ``name`` so far.
-
-    It streams ``src`` (``_row_chunks``, rows ending at each ``\n``) and
-    compares its kept rows with the file, waiting for the next send whenever
-    a row is not written yet, and returns what ``_verify_rows`` returns once
-    sent ``ids.size``.
-    """
-    written = yield
-    ends, checked, same = [], np.zeros(n, dtype=bool), True
-    with open(name, "rb") as out:
-        for r0, buf, starts in _row_chunks(src, h, None):
-            ends.append(starts[1:] + (ends[-1][-1] if ends else 0))
-            if not same or r0 + starts.size - 1 > n:
-                same = False
-                continue
-            a, b = np.searchsorted(ids, (r0, r0 + starts.size - 1))
-            while b > written:
-                written = yield
-            want = _gather(buf, starts, ids[a:b] - r0)
-            same = out.read(len(want)) == want
-            checked[ids[a:b]] = True
-    while written < ids.size:
-        written = yield
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64), *ends])
-    same = same and offsets.size == n + 1 and offsets[-1] == src.tell()
-    return (offsets, checked) if same else ()
-
-
-def _copy_checked(fh, row_fmt, x, ids, src, h, offsets, checked):
-    """Copy ``x``'s kept rows from ``src`` into ``fh``, formatting the unchecked ones to check them.
-
-    Returns the entry's new ``(offsets, checked)``, None when every kept row
-    was checked already, or () when a formatted block differed from its
-    source bytes (the file is not copyable).
-    """
-    rows = max(1, _BLOCK_VALUES // max(1, x.shape[1]))
-    out = fh.buffer
-    todo = ~checked[ids]
-    fresh = bool(todo.any())
-    for r0, buf, starts in _row_chunks(src, h, offsets):
-        if out is None:
-            continue  # hashing the rest
-        a, b = np.searchsorted(ids, (r0, r0 + starts.size - 1))
-        local, new = ids[a:b] - r0, np.flatnonzero(todo[a:b])
-        blocks = _Blocks()
-        if new.size:
-            _write_blocks(blocks, row_fmt, (x[a:b][new],), rows)
-        for i, block in enumerate(blocks):
-            part = new[i * rows : (i + 1) * rows]
-            if block.encode() != _gather(buf, starts, local[part]):
-                out.write(_gather(buf, starts, local[: part[0]]))
-                fh.flush()
-                _write_rows(fh, row_fmt, x[a + part[0] :])
-                out = None
-                break
-        else:
-            checked[ids[a:b][new]] = True
-            out.write(_gather(buf, starts, local))
-    if out is None:
-        return ()
-    return (offsets, checked) if fresh else None
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +777,11 @@ def write_report(report: MetricsReport, path) -> None:
     Path(path).write_text(report_to_text(report))
 
 
+_REPORT_TYPES = {"dataset": str, "method": str, "bound_satisfied": bool, **dict.fromkeys(_REPORT_INTS, int)}
+
+
 def read_report(path) -> MetricsReport:
+    """The report ``write_report`` wrote; a field of a type it never writes raises DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
@@ -848,17 +791,18 @@ def read_report(path) -> MetricsReport:
         raise DataError(f"{path}: invalid report: {exc}") from None
     kw = {}
     for f in fields(MetricsReport):
-        if f.name not in raw:
+        if not isinstance(raw, dict) or f.name not in raw:
             raise DataError(f"{path}: missing report field {f.name!r}")
-        v = raw[f.name]
-        if f.name in _REPORT_FLOATS:
-            v = float(v)
-        elif f.name in _REPORT_INTS:
-            v = int(v)
-        elif f.name == "accuracy":
-            v = None if v is None else float(v)
-        kw[f.name] = v
-    return MetricsReport(**kw)
+        v = kw[f.name] = raw[f.name]
+        if type(v) is _REPORT_TYPES.get(f.name) or f.name == "accuracy" and v is None:
+            continue
+        if f.name in _REPORT_TYPES or type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise DataError(f"{path}: bad report field {f.name!r}: {v!r}")
+        kw[f.name] = float(v)
+    try:
+        return MetricsReport(**kw)
+    except ValueError as exc:  # bound_satisfied false where the bound holds
+        raise DataError(f"{path}: invalid report: {exc}") from None
 
 
 def write_timings(timings: dict[str, float], path) -> None:

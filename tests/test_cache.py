@@ -587,3 +587,38 @@ def test_unwritable_directory_gives_the_same_sample(data, tmp_path, capsys, monk
         _deny_writes(m, data)
         assert _run(argv, tmp_path / "out", capsys) == ref
     assert {name: (data / CACHE_DIR / name).read_bytes() for name in _entries(data)} == entries
+
+
+def test_copy_pass_across_processes_gives_the_uncached_bytes(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "data"
+    spec = "blocks,n=12000,intra=0.001,inter=0.0002,fracs=0.4:0.6,d=16,tau=0.3,seed=4"
+    assert main(["synth", "--spec", spec, "--out", str(d)]) == 0
+    capsys.readouterr()
+    inputs = sorted(p.name for p in d.iterdir())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork_range = io_formats._fork_range
+    monkeypatch.setattr(io_formats, "_fork_range", lambda *a: forks.append(a) or fork_range(*a))
+
+    def check(name, argv, split):
+        """The cached run of ``argv`` writes the uncached bytes and leaves no other file."""
+        out = tmp_path / name
+        ref = _uncached(argv, out, capsys, monkeypatch)
+        listing = sorted(os.listdir(out))
+        os.replace(out, tmp_path / f"{name}_ref")
+        del forks[:]
+        assert _run(argv, out, capsys) == ref
+        # the unchecked kept rows are formatted across processes
+        assert any("%.17g" in row_fmt for _, row_fmt, *_ in forks) == split
+        assert sorted(os.listdir(out)) == listing
+        assert sorted(p.name for p in d.iterdir()) == sorted([*inputs, CACHE_DIR])
+        assert len(_entries(d)) == 4 and all(name.endswith(".npz") for name in _entries(d))
+
+    check("first", _sample_argv(tmp_path / "first", d, gamma=0.5, seed=1), True)
+    check("partly", _sample_argv(tmp_path / "partly", d, gamma=0.9, seed=2), True)  # half checked by the first
+    assert _rows_entry(d)[1].sum() > 0.9 * 12000
+    check("warm", _sample_argv(tmp_path / "warm", d, gamma=0.9, seed=2), False)
+    kept = np.loadtxt(tmp_path / "partly" / "kept.txt", dtype=np.int64)
+    _decanonicalize(d, int(kept[kept.size // 2]))  # new bytes: a first sample that differs halfway
+    check("mismatch", _sample_argv(tmp_path / "mismatch", d, gamma=0.9, seed=2), True)
+    assert _rows_entry(d)[0].size == 0  # not copyable

@@ -290,6 +290,29 @@ def test_buffered_epoch_equals_allocating_epoch_bit_for_bit(layers, taps, shift,
         assert all(same_bits(a, b) for a, b in zip(grads, fresh, strict=True))
 
 
+def test_relu_masked_gradients_keep_the_sign_of_zero():
+    # the in-place mask must be the product g * (z > 0): a negative g times
+    # False is -0.0, which assigning 0.0 where the mask is False would lose
+    rng = np.random.default_rng(33)
+    n = 200
+    g = random_graph(rng, n, 0.03)
+    x = rng.standard_normal((n, 5))
+    labels, mask = rng.integers(0, 3, size=n), np.ones(n, dtype=bool)
+    cfg = GnnConfig(layers=2, taps=2, hidden=6, seed=33)
+    s = shift_matrix(g, cfg.shift)
+    w, grads, xs, idx, y = stacked_problem(cfg, s, x, labels, mask, 3)
+    ws = _Workspace(w, g.n, cfg.taps, idx, y)
+    loss_and_grads(w, grads, s, xs, idx, y, cfg, ws)
+    masked = {}
+    allocating_loss_and_grads(w, s, xs, idx, y, cfg.taps, masked)
+    assert sorted(masked) == list(range(1, len(w)))
+    for l, ref in masked.items():
+        assert same_bits(ws.grad_in[l], ref)
+        assert np.array_equal(np.signbit(ws.grad_in[l]), np.signbit(ref))
+        zeros = ref[ref == 0.0]
+        assert np.signbit(zeros).sum() > zeros.size // 4  # the case holds negative zeros
+
+
 @pytest.mark.parametrize("partial", [False, True])
 @pytest.mark.parametrize("shift", SHIFT_CHOICES)
 @pytest.mark.parametrize("layers, taps", EPOCH_ARCHS)

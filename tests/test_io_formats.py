@@ -226,6 +226,44 @@ def test_report_invariant_and_errors(tmp_path):
         read_report(p)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5),
+    ("components", True),
+    ("laplacian_rank", "17"),
+    ("bound_satisfied", "no"),
+    ("bound_satisfied", 1),
+    ("accuracy", False),
+    ("accuracy", "0.875"),
+    ("gamma", None),
+    ("h_g", float("nan")),
+    ("trace_bound", 10**400),
+    ("dataset", 3),
+    ("method", None),
+])
+def test_read_report_rejects_a_field_of_another_type(tmp_path, field, value):
+    p = tmp_path / "r.json"
+    write_report(make_report(accuracy=0.875), p)
+    raw = json.loads(p.read_text())
+    raw[field] = value
+    p.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: bad report field '{field}'"):
+        read_report(p)
+
+
+def test_read_report_takes_integral_floats_and_rejects_a_false_bound(tmp_path):
+    p = tmp_path / "r.json"
+    write_report(make_report(gamma=1.0, accuracy=1.0), p)
+    assert '"gamma": 1,' in p.read_text()
+    back = read_report(p)
+    assert type(back.gamma) is float and type(back.accuracy) is float and back == make_report(gamma=1.0, accuracy=1.0)
+    p.write_text(p.read_text().replace('"bound_satisfied": true', '"bound_satisfied": false'))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: invalid report: bound_satisfied"):
+        read_report(p)
+    p.write_text("[1, 2]")
+    with pytest.raises(DataError, match="missing report field 'dataset'"):
+        read_report(p)
+
+
 # ---------------------------------------------------------------------------
 # bulk readers and writers against the line-by-line reference
 

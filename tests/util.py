@@ -139,11 +139,13 @@ def allocating_forward(weights, s, xs, taps):
     return zs
 
 
-def allocating_loss_and_grads(weights, s, xs, idx, y, taps):
+def allocating_loss_and_grads(weights, s, xs, idx, y, taps, masked=None):
     """(loss, stacked gradients) of one epoch that allocates each array it computes.
 
     The softmax is the row-reduction form, which ``gnn._softmax`` equals bit
-    for bit (``test_softmax_equals_row_reduction_form_bit_for_bit``).
+    for bit (``test_softmax_equals_row_reduction_form_bit_for_bit``). A dict
+    ``masked`` receives, under each l >= 1, the gradient w.r.t. layer l's
+    input after the relu mask, ``g * (z_l > 0)``.
     """
     zs = allocating_forward(weights, s, xs, taps)
     e = np.exp(zs[-1] - zs[-1].max(axis=1, keepdims=True))
@@ -157,6 +159,8 @@ def allocating_loss_and_grads(weights, s, xs, idx, y, taps):
     for l in range(len(weights) - 1, -1, -1):
         if l < len(weights) - 1:
             g = g * (zs[l + 1] > 0.0)
+            if masked is not None:
+                masked[l + 1] = g
         if l == 0:
             grads[0] = xs.T @ g
         else:
