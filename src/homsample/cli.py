@@ -1,15 +1,14 @@
 """Command-line entry point.
 
 Subcommands: synth, homophily, sample, metrics, train-eval, experiment,
-bench. Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure.
+bench. Exit codes: 0 success, 1 usage error, 2 data error (also an OSError
+on a given path, e.g. a directory as an input file), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
@@ -174,7 +173,7 @@ def _load_dataset(args, need_features=True, need_labels=False):
     return g, x, y, digests
 
 
-def _greedy(args, g, digests):
+def _order(args, g, digests):
     """The cached greedy deletion order for a ``degree_greedy`` ``--method``, else None."""
     if args.method != "degree_greedy":
         return None
@@ -213,7 +212,7 @@ def cmd_sample(args) -> int:
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    result = sample(g, spec, x=x, labels=y, greedy=_greedy(args, g, digests))
+    result = sample(g, spec, x=x, labels=y, order=_order(args, g, digests))
     features_from = None if x is None else (args.features, digests["features_csv"], g.n)
     write_sample(result, args.out, features_from)
     print(f"kept {len(result.kept)} of {g.n} nodes -> {args.out}")
@@ -243,8 +242,8 @@ def cmd_train_eval(args) -> int:
     spec = SampleSpec(
         gamma=args.gamma, method=args.method, seed=args.seed, use_raw_scores=args.use_raw_scores
     )
-    greedy = _greedy(args, g, digests)
-    report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem, greedy=greedy)
+    order = _order(args, g, digests)
+    report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem, order=order)
     print(f"accuracy = {report.accuracy:.17g}")
     if args.out:
         write_report(report, args.out)
@@ -253,7 +252,7 @@ def cmd_train_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     methods = args.methods
-    greedy, greedy_s = None, 0.0
+    orders = {}
     if args.synth:
         if args.features or args.labels:
             raise UsageError("--synth generates its own features and labels")
@@ -266,10 +265,9 @@ def cmd_experiment(args) -> int:
             args, need_features=train or "homophily" in methods, need_labels=train
         )
         dataset_id = Path(args.graph).stem
-        if "degree_greedy" in methods:
-            t0 = time.perf_counter()
-            greedy = greedy_order_cached(args.graph, digests["edge_list"], g, args.rates)
-            greedy_s = time.perf_counter() - t0
+        orders["degree_greedy"] = lambda: greedy_order_cached(
+            args.graph, digests["edge_list"], g, args.rates
+        )
     plan = ExperimentPlan(
         rates=args.rates,
         methods=methods,
@@ -280,7 +278,7 @@ def cmd_experiment(args) -> int:
         dataset_id=dataset_id,
         workers=args.workers,
     )
-    rows = run_experiment(plan, g, x=x, labels=y, outdir=args.out, greedy=greedy, greedy_s=greedy_s)
+    rows = run_experiment(plan, g, x=x, labels=y, outdir=args.out, orders=orders)
     print(f"wrote {len(rows)} summary rows to {Path(args.out) / 'summary.csv'}")
     return 0
 
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"homsample: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"homsample: data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:

@@ -34,7 +34,7 @@ from .gnn import GnnConfig, evaluate, train
 from .graph import Graph, induced_edges, induced_subgraph
 from .graphon import GraphonSpec, generate_dataset
 from .io_formats import MetricsReport, write_report, write_timings
-from .sampling import SampleSpec, check_greedy, check_method, greedy_order, lowest_score_nodes, sample_ids
+from .sampling import ORDERED, SampleSpec, check_method, deletion_order, keep_after, sample_ids
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def run_cell(
     labels: np.ndarray | None,
     gnn: GnnConfig | None,
     dataset_id: str,
-    greedy: np.ndarray | None = None,
+    order: np.ndarray | None = None,
     edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[MetricsReport, dict]:
     """Sample by ``spec``, measure the sample, and train when given ``gnn``.
@@ -145,12 +145,12 @@ def run_cell(
     subgraph. With a ``gnn`` config (which then needs ``x`` and ``labels``)
     the GNN, seeded with ``spec.seed``, is fit on the induced subgraph and
     the report carries its accuracy on the nodes the sample did not keep,
-    or on every node when it kept them all. ``greedy`` is the sweep's
-    shared degree-greedy deletion order (see ``sampling.sample_ids``).
+    or on every node when it kept them all. ``order`` is the sweep's shared
+    deletion order for ``spec.method`` (see ``sampling.sample_ids``).
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    kept = sample_ids(g, spec, x=x, greedy=greedy)
+    kept = sample_ids(g, spec, x=x, order=order)
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -226,9 +226,10 @@ def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread inside the block, then restore its count.
 
     Workers that each start BLAS threads oversubscribe the cores: on 2 vCPUs,
-    a 30-cell training sweep (n = 2000, d = 16) on a pool of two threads, as
-    workers were then, took 14.4 s with BLAS threads and 7.1 s without.
-    Forked worker processes inherit the count set here before the fork.
+    a 30-cell training sweep (n = 2000, d = 16, 200 epochs, hidden 64) in two
+    worker processes took 3.5 s with one BLAS thread and 24 s (11-56 s)
+    without, over 8 alternating runs. Forked worker processes inherit the
+    count set here before the fork.
     Serial runs keep BLAS threads: a one-worker sweep on d = 1433 features
     took 27.5 s with them and 44.5 s without. Without an OpenBLAS in numpy's
     wheel libraries this does nothing.
@@ -318,17 +319,18 @@ def write_summary_csv(rows: list[dict], path) -> None:
         out.writerows([_csv_cell(row.get(c)) for c in SUMMARY_COLUMNS] for row in rows)
 
 
-# The running sweep's (cells, graph, features, labels, gnn, dataset id, greedy
-# order, edge view of the graph). Forked workers inherit it copy-on-write, so
-# a task is a cell index.
+# The running sweep's (cells, graph, features, labels, gnn, dataset id,
+# deletion orders by method, edge view of the graph). Forked workers inherit
+# it copy-on-write, so a task is a cell index.
 _SWEEP: tuple | None = None
 
 
 def _run_sweep_cell(i: int):
     """Cell ``i`` of the running sweep: (report, timings), or the handled error."""
-    cells, g, x, labels, gnn, dataset_id, greedy, edges = _SWEEP
+    cells, g, x, labels, gnn, dataset_id, orders, edges = _SWEEP
+    order = orders.get(cells[i].spec.method)
     try:
-        return run_cell(cells[i].spec, g, x, labels, gnn, dataset_id, greedy=greedy, edges=edges)
+        return run_cell(cells[i].spec, g, x, labels, gnn, dataset_id, order=order, edges=edges)
     except (ValueError, DataError, NumericalError) as exc:
         return exc
 
@@ -364,8 +366,7 @@ def run_experiment(
     x: np.ndarray | None = None,
     labels: np.ndarray | None = None,
     outdir=None,
-    greedy: np.ndarray | None = None,
-    greedy_s: float = 0.0,
+    orders: dict | None = None,
 ) -> list[dict]:
     """Run every cell of the plan, write reports and the summary, return rows.
 
@@ -376,15 +377,18 @@ def run_experiment(
     worker count. No worker outlives the call.
     With more than one worker, BLAS runs on one thread while the pool runs,
     and a worker process that dies raises BrokenProcessPool before anything
-    is written. Every degree_greedy cell keeps the complement of a prefix
-    of one deletion order at the plan's largest budget: ``greedy``, as
-    ``sampling.greedy_order(g, plan.rates)`` returns it (or longer), with
-    ``greedy_s`` the seconds it took to obtain; when ``greedy`` is None, it
-    is computed here and timed. A shorter order raises the ValueError that
-    ``sampling.sample_ids`` raises. Each such cell's timing sidecar records
-    ``greedy_s`` as ``greedy_order``, outside its ``sample`` phase. A plan
-    that trains (not ``metrics_only``) raises ValueError without ``x`` and
-    ``labels``.
+    is written. Each ordered method of the plan (``sampling.ORDERED``) gets
+    its deletion order once, before any cell runs and before the edge view
+    is built: from the zero-argument callable ``orders[method]`` when given
+    (the CLI's cached greedy order), else ``sampling.deletion_order`` at the
+    plan's largest budget. Its cells keep complements of that order's
+    prefixes, and their sidecars record the seconds it took as
+    ``<method>_order``, outside the ``sample`` phase. A given order that is
+    too short raises the ValueError ``sampling.sample_ids`` raises, before
+    anything is written. A method whose order cannot be obtained
+    (``homophily`` with no ``x``) gets none, and each of its cells records
+    the error. A plan that trains (not ``metrics_only``) raises ValueError
+    without ``x`` and ``labels``.
     """
     global _SWEEP
     if not plan.metrics_only and (x is None or labels is None):
@@ -393,15 +397,18 @@ def run_experiment(
     cells = expand_cells(plan)
     outcomes: dict[Cell, MetricsReport | Exception] = {}
     timing_map: dict[Cell, dict] = {}
-    if "degree_greedy" in plan.methods:
-        if greedy is None:
-            t0 = time.perf_counter()
-            greedy = greedy_order(g, plan.rates)
-            greedy_s = time.perf_counter() - t0
-        else:
-            check_greedy(greedy, g.n, plan.rates)
+    ordered, order_s = {}, {}
+    for method in (m for m in plan.methods if m in ORDERED):
+        t0 = time.perf_counter()
+        provide = (orders or {}).get(method)
+        try:
+            ordered[method] = provide() if provide else deletion_order(g, method, plan.rates, x)
+        except (ValueError, DataError, NumericalError):
+            continue  # each cell of the method raises the error again, cheaply
+        keep_after(ordered[method], g.n, min(plan.rates))  # a given order too short raises
+        order_s[method] = time.perf_counter() - t0
 
-    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, greedy, g.edges())
+    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, ordered, g.edges())
     try:
         if plan.workers > 1:
             results = _run_forked(cells, plan.workers)
@@ -414,8 +421,8 @@ def run_experiment(
             outcomes[cell] = res
         else:
             outcomes[cell], timing_map[cell] = res
-            if cell.spec.method == "degree_greedy":
-                timing_map[cell]["greedy_order"] = greedy_s
+            if cell.spec.method in order_s:
+                timing_map[cell][f"{cell.spec.method}_order"] = order_s[cell.spec.method]
 
     rows = summarize(plan, outcomes)
     if outdir is not None:
@@ -482,7 +489,7 @@ def run_bench(m_targets, d: int = 16, gamma: float = 0.5, repeats: int = 5) -> l
             t1 = time.perf_counter()
             feature_homophily(g, xh)
             t2 = time.perf_counter()
-            induced_subgraph(g, lowest_score_nodes(scores, gamma))
+            induced_subgraph(g, keep_after(np.argsort(scores, kind="stable")[::-1], g.n, gamma))
             t3 = time.perf_counter()
             best["scores"] = min(best["scores"], t1 - t0)
             best["homophily"] = min(best["homophily"], t2 - t1)

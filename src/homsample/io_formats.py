@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import Graph, _freeze, build_graph
-from .sampling import SampleResult, greedy_budget, greedy_order
+from .sampling import SampleResult, deletion_order, greedy_budget
 
 _INT64 = np.iinfo(np.int64)
 
@@ -532,10 +532,11 @@ def read_cached(path, kind: str):
 
 
 def greedy_order_cached(path, digest: str | None, g: Graph, gammas) -> np.ndarray:
-    """``sampling.greedy_order(g, gammas)``, through the cache entry of the graph file ``path``.
+    """``deletion_order(g, "degree_greedy", gammas)``, through the cache entry of the graph file ``path``.
 
     ``g`` is the graph ``read_cached(path, "edge_list")`` returned, with
-    ``digest``; a None digest computes the order uncached. The entry,
+    ``digest``; a None digest computes the order uncached. ``experiment``
+    passes it to ``run_experiment`` as the ``degree_greedy`` order. The entry,
     ``<file name>.greedy_order.<format tag>.<sha256 of the bytes>.npz``,
     holds the longest order computed so far for these bytes, and its tag
     carries the ``edge_list`` tag. A smaller budget takes the entry's
@@ -546,7 +547,7 @@ def greedy_order_cached(path, digest: str | None, g: Graph, gammas) -> np.ndarra
     was.
     """
     if digest is None:
-        return greedy_order(g, gammas)
+        return deletion_order(g, "degree_greedy", gammas)
     path = Path(path)
     budget = greedy_budget(g.n, gammas)
     entry, stem = _entry_path(path, "greedy_order", digest)
@@ -556,7 +557,7 @@ def greedy_order_cached(path, digest: str | None, g: Graph, gammas) -> np.ndarra
         seen[order] = True
         if np.count_nonzero(seen) == order.size:  # no id repeats
             return order[:budget]
-    order = greedy_order(g, gammas)
+    order = deletion_order(g, "degree_greedy", gammas)
     _store_entry(entry, stem, path, digest, {"order": order})
     return order
 

@@ -5,6 +5,9 @@ returns just the kept ids (a sorted int64 array of original node ids);
 ``sample`` also returns the induced subgraph and the kept rows of the raw
 features/labels. Restricted features are deliberately NOT re-standardized
 here; consumers (e.g. GNN training) normalize on the subsample themselves.
+
+``homophily`` and ``degree_greedy`` keep the complement of a prefix of one
+``deletion_order``, so one order serves every keep rate of a sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .features import as_feature_matrix, node_scores, normalize_features
 from .graph import Graph, induced_subgraph
 
 METHODS = ("homophily", "random", "degree_greedy")
+ORDERED = ("homophily", "degree_greedy")  # the methods with a ``deletion_order``
 
 
 def check_method(name: str) -> None:
@@ -62,42 +66,44 @@ def _keep_count(n: int, gamma: float) -> int:
     return keep
 
 
-def lowest_score_nodes(scores: np.ndarray, gamma: float) -> np.ndarray:
-    """Sorted ids of the nodes left after deleting the floor((1-gamma)n) largest scores.
-
-    Ties keep the smaller node index.
-    """
-    order = np.argsort(scores, kind="stable")  # ascending; ties by node index
-    return np.sort(order[: _keep_count(scores.shape[0], gamma)])
-
-
 def greedy_budget(n: int, gammas) -> int:
     """The largest deletion budget of the keep rates ``gammas`` on ``n`` nodes."""
     return max(deletion_budget(n, gamma) for gamma in gammas)
 
 
-def greedy_order(g: Graph, gammas) -> np.ndarray:
-    """Greedy deletion order at the largest deletion budget of the keep rates ``gammas``.
+def deletion_order(g: Graph, method: str, gammas, x=None, use_raw_scores=False) -> np.ndarray:
+    """The nodes in the order ``method`` (one of ``ORDERED``) deletes them.
 
-    The order at a smaller budget is a prefix of it: each deletion depends
-    only on the ones before it (``tests/test_kernels.py`` pins this). So one
-    order serves every rate of a sweep, and the CLI's cache
-    (``io_formats.greedy_order_cached``) keeps each graph's longest order
-    and slices it for any smaller budget. Change the ``greedy_order`` tag in
-    ``io_formats._CACHE_FORMATS`` whenever the order this returns for a
-    given graph changes.
+    ``homophily`` orders every node, largest score first and, of tied
+    scores, larger index first. ``degree_greedy`` stops at the largest
+    deletion budget of the keep rates ``gammas``; each deletion depends
+    only on the ones before it (``tests/test_kernels.py`` pins this). So
+    for both, the order at a smaller budget is a prefix of this one. Change
+    the ``greedy_order`` tag in ``io_formats._CACHE_FORMATS`` whenever the
+    greedy order of a given graph changes.
     """
-    return _kernels.greedy_min_degree_order(g.indptr, g.indices, greedy_budget(g.n, gammas))
+    if method == "degree_greedy":
+        return _kernels.greedy_min_degree_order(g.indptr, g.indices, greedy_budget(g.n, gammas))
+    if x is None:
+        raise ValueError("homophily sampling requires node features")
+    x = as_feature_matrix(x)
+    if x.shape[0] != g.n:
+        raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
+    scores = node_scores(x if use_raw_scores else normalize_features(x))
+    return np.argsort(scores, kind="stable")[::-1]
 
 
-def check_greedy(greedy: np.ndarray, n: int, gammas) -> None:
-    """Raise ValueError unless the deletion order ``greedy`` covers every budget of ``gammas``."""
-    need = greedy_budget(n, gammas)
-    if greedy.shape[0] < need:
-        raise ValueError(f"greedy order holds {greedy.shape[0]} deletions, need {need}")
+def keep_after(order: np.ndarray, n: int, gamma: float) -> np.ndarray:
+    """Sorted ids of the ``n`` nodes left after deleting ``order``'s first floor((1-gamma)n)."""
+    keep = _keep_count(n, gamma)
+    if order.shape[0] < n - keep:
+        raise ValueError(f"deletion order holds {order.shape[0]} deletions, need {n - keep}")
+    kept_mask = np.ones(n, dtype=bool)
+    kept_mask[order[: n - keep]] = False
+    return np.flatnonzero(kept_mask)
 
 
-def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
+def sample_ids(g: Graph, spec: SampleSpec, x=None, order=None) -> np.ndarray:
     """Sorted kept ids of the sampler named by ``spec.method``.
 
     - ``homophily`` drops the nodes with the largest feature scores: squared
@@ -111,36 +117,23 @@ def sample_ids(g: Graph, spec: SampleSpec, x=None, greedy=None) -> np.ndarray:
     - ``degree_greedy`` iteratively deletes the minimum-degree node,
       recomputing degrees: the sequential baseline that maximizes the
       remaining Laplacian trace greedily; ties delete the smaller index
-      first. ``greedy``, a deletion order from ``greedy_order`` at a budget
-      at least this one's, saves recomputing it; the sample is the same
-      either way. The other methods ignore it.
+      first.
+
+    The ordered methods keep the complement of a ``deletion_order`` prefix.
+    ``order``, that order at a budget at least this one's, saves computing
+    it; the sample is the same either way. ``random`` ignores it.
     """
-    method = spec.method
-    if method == "homophily":
-        if x is None:
-            raise ValueError("homophily sampling requires node features")
-        x = as_feature_matrix(x)
-        if x.shape[0] != g.n:
-            raise ValueError(f"features have {x.shape[0]} rows, graph has {g.n} nodes")
-        scores = node_scores(x if spec.use_raw_scores else normalize_features(x))
-        return lowest_score_nodes(scores, spec.gamma)
-    keep_n = _keep_count(g.n, spec.gamma)
-    if method == "random":
+    if spec.method == "random":
         rng = np.random.Generator(np.random.Philox(spec.seed))
-        return np.sort(rng.choice(g.n, size=keep_n, replace=False))
-    n_remove = g.n - keep_n
-    if greedy is None:
-        greedy = greedy_order(g, (spec.gamma,))
-    else:
-        check_greedy(greedy, g.n, (spec.gamma,))
-    kept_mask = np.ones(g.n, dtype=bool)
-    kept_mask[greedy[:n_remove]] = False
-    return np.flatnonzero(kept_mask)
+        return np.sort(rng.choice(g.n, size=_keep_count(g.n, spec.gamma), replace=False))
+    if order is None:
+        order = deletion_order(g, spec.method, (spec.gamma,), x, spec.use_raw_scores)
+    return keep_after(order, g.n, spec.gamma)
 
 
-def sample(g: Graph, spec: SampleSpec, x=None, labels=None, greedy=None) -> SampleResult:
+def sample(g: Graph, spec: SampleSpec, x=None, labels=None, order=None) -> SampleResult:
     """The sample of ``sample_ids``: its subgraph and the kept rows of ``x`` and ``labels``."""
-    kept = sample_ids(g, spec, x=x, greedy=greedy)
+    kept = sample_ids(g, spec, x=x, order=order)
     xr = None if x is None else np.take(x, kept, axis=0)
     yr = None if labels is None else np.asarray(labels)[kept]
     return SampleResult(kept=kept, subgraph=induced_subgraph(g, kept), features=xr, labels=yr)

@@ -74,6 +74,31 @@ def test_missing_file_exits_2_with_path(tmp_path, capsys):
     assert "ghost.txt" in err
 
 
+@pytest.mark.parametrize("command, bad", [
+    (["homophily", "--graph", "{dir}", "--features", "{x}"], "dir"),
+    (["homophily", "--graph", "{g}", "--features", "{dir}"], "dir"),
+    (["metrics", "--graph", "{g}", "--features", "{x}", "--out", "{dir}"], "dir"),
+    (["train-eval", "--graph", "{g}", "--features", "{x}", "--labels", "{y}", "--gamma", "0.5",
+      "--epochs", "2", "--out", "{dir}"], "dir"),
+    (["sample", "--graph", "{g}", "--features", "{x}", "--gamma", "0.5", "--out", "{file}"], "file"),
+    (["synth", "--spec", "constant,n=20,p=0.2,d=2,seed=1", "--out", "{file}"], "file"),
+    (["experiment", "--graph", "{g}", "--rates", "0.5", "--methods", "random", "--reps", "2",
+      "--metrics-only", "--out", "{file}"], "file"),
+])
+def test_os_errors_on_a_given_path_exit_2_naming_it(tmp_path, capsys, command, bad):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "y.csv")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {k: str(tmp_path / f) for k, f in
+             (("g", "g.txt"), ("x", "x.csv"), ("y", "y.csv"), ("dir", "dir"), ("file", "file"))}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("homsample: data error: ") and err.count("\n") == 1
+    assert paths[bad] in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["sample", "--graph", "g", "--gamma", "1.5", "--out", "o"]) == 1
     assert main(["sample", "--graph", "g", "--gamma", "0", "--out", "o"]) == 1
@@ -307,10 +332,11 @@ def test_experiment_grid_file_count(tmp_path, capsys):
     reports = sorted(out.glob("report__*.json"))
     assert len(reports) == 3 * (1 + 50)  # 153 per the grid arithmetic
     assert (out / "summary.csv").exists()
-    # metrics-only cells must never carry train/eval phases
+    # metrics-only cells must never carry train/eval phases; homophily cells carry
+    # the sweep's one-off order time
     for tf in out.glob("timings__*.json"):
         phases = set(json.loads(tf.read_text()))
-        assert phases == {"sample", "metrics"}
+        assert phases == {"sample", "metrics"} | ({"homophily_order"} if "_homophily_" in tf.name else set())
 
 
 def test_experiment_training_accuracy_column(tmp_path):
@@ -507,13 +533,14 @@ def _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, method):
 def test_multi_rate_greedy_sweep_matches_single_rate_sweeps(tmp_path):
     sidecars = _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, "degree_greedy")
     # each cell's sidecar carries the shared order's one-off time, outside its sample phase
-    assert all(set(t) == {"sample", "metrics", "greedy_order"} for t in sidecars)
-    assert len({t["greedy_order"] for t in sidecars}) == 1
+    assert all(set(t) == {"sample", "metrics", "degree_greedy_order"} for t in sidecars)
+    assert len({t["degree_greedy_order"] for t in sidecars}) == 1
 
 
 def test_multi_rate_homophily_sweep_matches_single_rate_sweeps(tmp_path):
     sidecars = _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, "homophily")
-    assert all(set(t) == {"sample", "metrics"} for t in sidecars)
+    assert all(set(t) == {"sample", "metrics", "homophily_order"} for t in sidecars)
+    assert len({t["homophily_order"] for t in sidecars}) == 1
 
 
 @pytest.mark.parametrize("command", [

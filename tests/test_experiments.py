@@ -1,12 +1,16 @@
 import csv
+import json
 import multiprocessing
+import os
+import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import homsample as hs
-from homsample import experiments
+from homsample import _kernels, experiments, sampling
 from homsample.experiments import (
     SUMMARY_COLUMNS,
     ExperimentPlan,
@@ -20,7 +24,7 @@ from homsample.experiments import (
 )
 from homsample.gnn import GnnConfig
 from homsample.graphon import two_block_spec
-from homsample.sampling import SampleSpec, greedy_order, sample_ids
+from homsample.sampling import SampleSpec, deletion_order, sample_ids
 
 from util import bench_table, loglog_slope, random_graph
 
@@ -232,18 +236,49 @@ def test_given_greedy_order_gives_the_same_outputs(tmp_path):
     rows = run_experiment(plan, g, x=x, outdir=tmp_path / "none")
     ref = _canonical(tmp_path / "none")
     assert len(ref) == 3 * 4 + 1
-    for name, order in (("exact", greedy_order(g, plan.rates)), ("longer", greedy_order(g, (0.0,)))):
-        assert run_experiment(plan, g, x=x, outdir=tmp_path / name, greedy=order) == rows
+    for name, order in (("exact", deletion_order(g, "degree_greedy", plan.rates)),
+                        ("longer", deletion_order(g, "degree_greedy", (0.0,)))):
+        assert run_experiment(plan, g, x=x, outdir=tmp_path / name,
+                              orders={"degree_greedy": lambda: order}) == rows
         assert _canonical(tmp_path / name) == ref
 
 
 def test_short_greedy_order_raises_what_sample_ids_raises(tmp_path):
     g = random_graph(np.random.default_rng(5), 40, 0.1)
     plan = ExperimentPlan(rates=(0.5, 0.25), methods=("degree_greedy",), metrics_only=True)
-    short = greedy_order(g, (0.5,))
+    short = deletion_order(g, "degree_greedy", (0.5,))
     with pytest.raises(ValueError) as own:
-        sample_ids(g, SampleSpec(gamma=0.25, method="degree_greedy"), greedy=short)
+        sample_ids(g, SampleSpec(gamma=0.25, method="degree_greedy"), order=short)
     with pytest.raises(ValueError) as sweep:
-        run_experiment(plan, g, outdir=tmp_path / "out", greedy=short)
-    assert str(sweep.value) == str(own.value) == "greedy order holds 20 deletions, need 30"
+        run_experiment(plan, g, outdir=tmp_path / "out", orders={"degree_greedy": lambda: short})
+    assert str(sweep.value) == str(own.value) == "deletion order holds 20 deletions, need 30"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_gets_each_deletion_order_once(monkeypatch, tmp_path, workers):
+    ds = hs.generate_dataset(two_block_spec(n=150, intra=0.1, inter=0.02, feature_dim=4,
+                                            noise=0.2, seed=5))
+    plan = ExperimentPlan(rates=(0.6, 0.1, 0.9), methods=("homophily", "random", "degree_greedy"),
+                          reps=2, metrics_only=True)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            # one file per call, so calls in forked workers count too
+            os.close(tempfile.mkstemp(prefix=name, dir=calls)[0])
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sampling, "normalize_features", counted("scores", sampling.normalize_features))
+    kernel = _kernels.greedy_min_degree_order
+    monkeypatch.setattr(_kernels, "greedy_min_degree_order", counted("greedy", kernel))
+    run_experiment(replace(plan, workers=workers), ds.graph, x=ds.features, outdir=tmp_path / "out")
+    assert sorted(f.name[:6] for f in calls.iterdir()) == ["greedy", "scores"]
+    sidecars = {f.name: json.loads(f.read_text()) for f in (tmp_path / "out").glob("timings__*")}
+    assert len(sidecars) == 3 * (1 + 2 + 1)
+    for method in ("homophily", "degree_greedy"):
+        times = {t[f"{method}_order"] for name, t in sidecars.items() if f"_{method}_" in name}
+        assert len(times) == 1
+    assert not any("_order" in key for name, t in sidecars.items() if "_random_" in name for key in t)

@@ -5,9 +5,10 @@ import pytest
 
 import homsample as hs
 from homsample import sampling
+from homsample.features import node_scores, normalize_features
 from homsample.sampling import SampleSpec, deletion_budget
 
-from util import adjacency_dense, normalize_reference, path_graph, random_graph
+from util import adjacency_dense, lowest_scores_kept, normalize_reference, path_graph, random_graph
 
 
 def scores_to_features(scores):
@@ -53,6 +54,23 @@ def test_tie_break_matches_stable_sort_oracle():
             g, SampleSpec(gamma=gamma, use_raw_scores=True), x=scores_to_features(scores)
         )
         assert res.kept.tolist() == brute_force_kept(scores, gamma)
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_homophily_order_keeps_the_lowest_scores_with_ties(raw):
+    rng = np.random.default_rng(10)
+    n = 200
+    g = random_graph(rng, n, 0.03)
+    x = rng.integers(0, 3, size=(n, 2)).astype(float)  # 9 distinct rows: most scores tie
+    scores = node_scores(x if raw else normalize_features(x))
+    assert np.unique(scores).size <= 9
+    order = sampling.deletion_order(g, "homophily", (0.5,), x, use_raw_scores=raw)
+    assert np.array_equal(np.sort(order), np.arange(n))  # every node, whatever the rate
+    for gamma in (0.01, 0.1, 0.25, 0.5, 0.7, 0.9, 0.995, 1.0):
+        want = lowest_scores_kept(scores, gamma)
+        assert np.array_equal(sampling.keep_after(order, n, gamma), want)
+        got = hs.sample(g, SampleSpec(gamma=gamma, use_raw_scores=raw), x=x).kept
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_keep_count_exact_over_gamma_grid():
@@ -180,17 +198,17 @@ def test_degree_greedy_shared_order_gives_the_same_sample():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 60, 0.08)
     gammas = (0.9, 0.25, 0.6, 1.0, 0.1)
-    order = sampling.greedy_order(g, gammas)
+    order = sampling.deletion_order(g, "degree_greedy", gammas)
     assert order.size == deletion_budget(g.n, 0.1)
     for gamma in gammas:
         spec = SampleSpec(gamma=gamma, method="degree_greedy")
         own = hs.sample(g, spec)
-        shared = hs.sample(g, spec, greedy=order)
+        shared = hs.sample(g, spec, order=order)
         assert shared.kept.tolist() == own.kept.tolist()
         assert np.array_equal(shared.subgraph.indices, own.subgraph.indices)
-    short = sampling.greedy_order(g, (0.9,))
-    with pytest.raises(ValueError, match="greedy order holds"):
-        hs.sample(g, SampleSpec(gamma=0.5, method="degree_greedy"), greedy=short)
+    short = sampling.deletion_order(g, "degree_greedy", (0.9,))
+    with pytest.raises(ValueError, match="deletion order holds"):
+        hs.sample(g, SampleSpec(gamma=0.5, method="degree_greedy"), order=short)
 
 
 def test_empty_sample_rejected():
@@ -207,7 +225,7 @@ def test_the_first_failing_check_names_the_error():
         hs.sample(g, SampleSpec(gamma=0.0), x=np.ones((3, 1)))  # then their row count
     short = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError, match="empty sample"):
-        hs.sample(g, SampleSpec(gamma=0.0, method="degree_greedy"), greedy=short)
+        hs.sample(g, SampleSpec(gamma=0.0, method="degree_greedy"), order=short)
     with pytest.raises(ValueError, match="empty sample"):
         hs.sample(g, SampleSpec(gamma=0.0, method="random"))
 

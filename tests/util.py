@@ -45,6 +45,12 @@ def normalize_reference(x):
     return out
 
 
+def lowest_scores_kept(scores, gamma):
+    """Independent keep rule of Algorithm 1: the smallest scores, ties kept by smaller index."""
+    keep = len(scores) - int(np.floor((1.0 - gamma) * len(scores)))
+    return np.sort(np.argsort(scores, kind="stable")[:keep])
+
+
 def path_graph(n):
     return hs.build_graph([(i, i + 1) for i in range(n - 1)], n=n)
 
