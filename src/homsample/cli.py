@@ -244,9 +244,9 @@ def cmd_train_eval(args) -> int:
     )
     order = _order(args, g, digests)
     report, _ = run_cell(spec, g, x, y, _gnn_config(args), Path(args.graph).stem, order=order)
-    print(f"accuracy = {report.accuracy:.17g}")
     if args.out:
         write_report(report, args.out)
+    print(f"accuracy = {report.accuracy:.17g}")
     return 0
 
 
@@ -358,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", type=_int_list, default=(10_000, 20_000, 40_000, 80_000),
                    help="target edge counts")
     p.add_argument("--dims", type=_int_list, default=(),
-                   help="optional feature-dim sweep at fixed m")
+                   help="optional feature-dim sweep at m = (largest --sizes) // 2")
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--gamma", type=_gamma, default=0.5)
     p.add_argument("--repeats", type=_positive_int, default=5)

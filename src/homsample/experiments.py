@@ -335,11 +335,13 @@ def _run_sweep_cell(i: int):
         return exc
 
 
-def _run_forked(cells: list[Cell], workers: int) -> list:
-    """Run the sweep's cells in ``workers`` forked processes, results in cell order.
+def _run_forked(cells: list[Cell], workers: int):
+    """Yield the sweep's cell results in cell order, run in ``workers`` forked processes.
 
-    A worker process that dies raises BrokenProcessPool naming a cell that did
-    not finish. When a cell raises, cells not yet started are dropped.
+    The pool starts at the first ``next``. A worker process that dies raises
+    BrokenProcessPool naming a cell that did not finish, after the results of
+    the cells before it were yielded. When a cell raises, or the generator is
+    closed, cells not yet started are dropped and the pool is joined.
     """
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -347,17 +349,15 @@ def _run_forked(cells: list[Cell], workers: int) -> list:
     ctx = multiprocessing.get_context("fork")
     with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=ctx) as pool:
         futures = [pool.submit(_run_sweep_cell, i) for i in range(len(cells))]
-        results = []
         try:
-            for fut in futures:
-                results.append(fut.result())
-        except BrokenProcessPool as exc:
-            tag = cells[len(results)].tag  # the cell whose result broke
+            for i, fut in enumerate(futures):
+                yield fut.result()
+        except BrokenProcessPool as exc:  # a consumer's error never enters at the yield
+            tag = cells[i].tag  # the cell whose result broke
             raise BrokenProcessPool(f"a worker process died; cell {tag} did not finish") from exc
         finally:
             for fut in futures:
                 fut.cancel()
-    return results
 
 
 def run_experiment(
@@ -372,23 +372,24 @@ def run_experiment(
 
     Cells run independently (in ``plan.workers`` forked processes when that
     is above 1, which inherit the inputs and the graph's edge view, built
-    once here, rather than receive copies); the summary is assembled in
-    plan order after the join, so outputs are reproducible regardless of
-    worker count. No worker outlives the call.
-    With more than one worker, BLAS runs on one thread while the pool runs,
-    and a worker process that dies raises BrokenProcessPool before anything
-    is written. Each ordered method of the plan (``sampling.ORDERED``) gets
-    its deletion order once, before any cell runs and before the edge view
-    is built: from the zero-argument callable ``orders[method]`` when given
-    (the CLI's cached greedy order), else ``sampling.deletion_order`` at the
-    plan's largest budget. Its cells keep complements of that order's
-    prefixes, and their sidecars record the seconds it took as
-    ``<method>_order``, outside the ``sample`` phase. A given order that is
-    too short raises the ValueError ``sampling.sample_ids`` raises, before
-    anything is written. A method whose order cannot be obtained
-    (``homophily`` with no ``x``) gets none, and each of its cells records
-    the error. A plan that trains (not ``metrics_only``) raises ValueError
-    without ``x`` and ``labels``.
+    once here, rather than receive copies). Each result is taken in cell
+    order and its report and sidecar are written at once; the summary comes
+    last, so outputs do not depend on the worker count. ``outdir`` is made
+    before any cell runs. An exception that stops the sweep (an interrupt, a
+    failed write, or the BrokenProcessPool of a worker process that died)
+    leaves the earlier cells' files and no summary; no worker outlives the
+    call. With more than one worker, BLAS runs on one thread while the pool
+    runs. Each ordered method of the plan (``sampling.ORDERED``) gets its
+    deletion order once, before any cell runs and before ``outdir`` is made:
+    from the zero-argument callable ``orders[method]`` when given (the CLI's
+    cached greedy order), else ``sampling.deletion_order`` at the plan's
+    largest budget. Its cells keep complements of that order's prefixes,
+    and their sidecars record the seconds it took as ``<method>_order``,
+    outside the ``sample`` phase. A given order that is too short raises the
+    ValueError ``sampling.sample_ids`` raises, before anything is written. A
+    method whose order cannot be obtained (``homophily`` with no ``x``) gets
+    none, and each of its cells records the error. A plan that trains (not
+    ``metrics_only``) raises ValueError without ``x`` and ``labels``.
     """
     global _SWEEP
     if not plan.metrics_only and (x is None or labels is None):
@@ -396,7 +397,6 @@ def run_experiment(
     gnn = None if plan.metrics_only else plan.gnn
     cells = expand_cells(plan)
     outcomes: dict[Cell, MetricsReport | Exception] = {}
-    timing_map: dict[Cell, dict] = {}
     ordered, order_s = {}, {}
     for method in (m for m in plan.methods if m in ORDERED):
         t0 = time.perf_counter()
@@ -407,32 +407,29 @@ def run_experiment(
             continue  # each cell of the method raises the error again, cheaply
         keep_after(ordered[method], g.n, min(plan.rates))  # a given order too short raises
         order_s[method] = time.perf_counter() - t0
-
-    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, ordered, g.edges())
-    try:
-        if plan.workers > 1:
-            results = _run_forked(cells, plan.workers)
-        else:
-            results = [_run_sweep_cell(i) for i in range(len(cells))]
-    finally:
-        _SWEEP = None
-    for cell, res in zip(cells, results):
-        if isinstance(res, Exception):
-            outcomes[cell] = res
-        else:
-            outcomes[cell], timing_map[cell] = res
-            if cell.spec.method in order_s:
-                timing_map[cell][f"{cell.spec.method}_order"] = order_s[cell.spec.method]
-
-    rows = summarize(plan, outcomes)
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for cell in cells:
-            res = outcomes[cell]
-            if isinstance(res, MetricsReport):
-                write_report(res, outdir / f"report__{cell.tag}.json")
-                write_timings(timing_map[cell], outdir / f"timings__{cell.tag}.json")
+
+    _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, ordered, g.edges())
+    serial = (_run_sweep_cell(i) for i in range(len(cells)))
+    results = _run_forked(cells, plan.workers) if plan.workers > 1 else serial
+    try:
+        for cell, res in zip(cells, results):
+            if isinstance(res, Exception):
+                outcomes[cell] = res
+                continue
+            outcomes[cell], timings = res
+            if cell.spec.method in order_s:
+                timings[f"{cell.spec.method}_order"] = order_s[cell.spec.method]
+            if outdir is not None:
+                write_report(outcomes[cell], outdir / f"report__{cell.tag}.json")
+                write_timings(timings, outdir / f"timings__{cell.tag}.json")
+    finally:
+        results.close()  # joins the workers when a write raised
+        _SWEEP = None
+    rows = summarize(plan, outcomes)
+    if outdir is not None:
         write_summary_csv(rows, outdir / "summary.csv")
     return rows
 

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -97,6 +98,21 @@ def test_os_errors_on_a_given_path_exit_2_naming_it(tmp_path, capsys, command, b
     err = capsys.readouterr().err
     assert err.startswith("homsample: data error: ") and err.count("\n") == 1
     assert paths[bad] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/report.json"])
+def test_train_eval_out_that_cannot_be_written_exits_2_printing_nothing(tmp_path, capsys, out):
+    write_edge_list(path_graph(4), tmp_path / "g.txt")
+    write_features_csv(np.arange(4.0).reshape(4, 1), tmp_path / "x.csv")
+    write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "y.csv")
+    (tmp_path / "dir").mkdir()
+    rc = main(["train-eval", "--graph", str(tmp_path / "g.txt"), "--features", str(tmp_path / "x.csv"),
+               "--labels", str(tmp_path / "y.csv"), "--gamma", "0.5", "--epochs", "2",
+               "--hidden", "2", "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""  # no accuracy line for a report that was not written
+    assert "Traceback" not in captured.err and str(tmp_path / out) in captured.err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -510,6 +526,112 @@ def test_experiment_dead_worker_exits_3_naming_a_cell(tmp_path, monkeypatch, cap
     assert re.search(r"worker .* cell r00_random_rep00[0-3] ", err)
     assert not (out / "summary.csv").exists()
     assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    full = tmp_path / "full"
+    assert main(args[:-1] + [str(full)]) == 0
+    # every report the dead sweep left holds an uninterrupted run's bytes
+    assert all(p.read_bytes() == (full / p.name).read_bytes() for p in out.glob("report__*.json"))
+
+
+SWEEP_ARGS = [
+    "experiment", "--synth", "blocks,n=50,intra=0.2,inter=0.05,d=4,tau=0.2,seed=5",
+    "--rates", "0.5,0.75", "--methods", "homophily,random", "--reps", "3", "--metrics-only",
+]
+# the first cells of SWEEP_ARGS, in cell order
+SWEEP_FIRST_TAGS = ["r00_homophily_rep000", "r00_random_rep000", "r00_random_rep001",
+                    "r00_random_rep002"]
+
+
+def assert_first_three_cells_kept(out, full):
+    """``out`` holds exactly the first three cells' files, their reports as in ``full``."""
+    tags = SWEEP_FIRST_TAGS[:3]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"report__{t}.json" for t in tags] + [f"timings__{t}.json" for t in tags]
+    )
+    for t in tags:
+        assert (out / f"report__{t}.json").read_bytes() == (full / f"report__{t}.json").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_out_existing_file_exits_2_before_any_cell_runs(tmp_path, monkeypatch, workers):
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    real_run_cell = experiments.run_cell
+
+    def marked(*args, **kwargs):
+        # one file per call, so calls in forked workers count too
+        os.close(tempfile.mkstemp(dir=markers)[0])
+        return real_run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", marked)
+    (tmp_path / "file").write_text("")
+    assert main(SWEEP_ARGS + ["--workers", workers, "--out", str(tmp_path / "file")]) == 2
+    assert list(markers.iterdir()) == []
+
+
+def test_interrupted_serial_sweep_keeps_the_cells_before_it(tmp_path, monkeypatch):
+    full = tmp_path / "full"
+    assert main(SWEEP_ARGS + ["--out", str(full)]) == 0
+    real_run_cell = experiments.run_cell
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return real_run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(SWEEP_ARGS + ["--out", str(out)])
+    assert_first_three_cells_kept(out, full)
+
+
+def test_dead_worker_keeps_the_cells_before_it(tmp_path, monkeypatch, capsys):
+    full = tmp_path / "full"
+    assert main(SWEEP_ARGS + ["--out", str(full)]) == 0
+    last = read_report(full / f"report__{SWEEP_FIRST_TAGS[3]}.json").seed
+    real_run_cell = experiments.run_cell
+
+    def die_at_the_fourth_cell(spec, *args, **kwargs):
+        if spec.seed == last:
+            time.sleep(1.0)  # the cells before it finish first
+            os._exit(9)
+        return real_run_cell(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", die_at_the_fourth_cell)
+    out = tmp_path / "out"
+    assert main(SWEEP_ARGS + ["--workers", "2", "--out", str(out)]) == 3
+    assert f"cell {SWEEP_FIRST_TAGS[3]} did not finish" in capsys.readouterr().err
+    assert_first_three_cells_kept(out, full)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_write_mid_sweep_exits_2_leaving_no_worker(tmp_path, monkeypatch, capsys):
+    real_write_report = experiments.write_report
+    writes = []
+
+    def fail_second(report, path):
+        writes.append(path)
+        if len(writes) == 2:
+            raise OSError(f"cannot write {path}")
+        real_write_report(report, path)
+
+    monkeypatch.setattr(experiments, "write_report", fail_second)
+    out = tmp_path / "out"
+    assert main(SWEEP_ARGS + ["--workers", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("homsample: data error: cannot write ") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not (out / "summary.csv").exists()
+    # the pool is joined while the error's traceback still holds the sweep's frame
+    writes.clear()
+    plan = experiments.ExperimentPlan(rates=(0.5,), methods=("random",), reps=4,
+                                      metrics_only=True, workers=2)
+    with pytest.raises(OSError, match="cannot write") as info:
+        experiments.run_experiment(plan, path_graph(30), outdir=tmp_path / "lib")
+    assert info.tb is not None and multiprocessing.active_children() == []
 
 
 def _multi_rate_sweep_matches_single_rate_sweeps(tmp_path, method):
