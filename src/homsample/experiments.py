@@ -33,7 +33,7 @@ from .features import (
 from .gnn import GnnConfig, evaluate, train
 from .graph import Graph, induced_edges, induced_subgraph
 from .graphon import GraphonSpec, generate_dataset
-from .io_formats import MetricsReport, write_report, write_timings
+from .io_formats import MetricsReport, _write_whole, write_report, write_timings
 from .sampling import ORDERED, SampleSpec, check_method, deletion_order, keep_after, sample_ids
 
 
@@ -313,10 +313,12 @@ def _csv_cell(value) -> str:
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    with open(Path(path), "w", newline="") as fh:
+    def write(fh):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(SUMMARY_COLUMNS)
         out.writerows([_csv_cell(row.get(c)) for c in SUMMARY_COLUMNS] for row in rows)
+
+    _write_whole(path, write, newline="")
 
 
 # The running sweep's (cells, graph, features, labels, gnn, dataset id,
@@ -389,7 +391,9 @@ def run_experiment(
     ValueError ``sampling.sample_ids`` raises, before anything is written. A
     method whose order cannot be obtained (``homophily`` with no ``x``) gets
     none, and each of its cells records the error. A plan that trains (not
-    ``metrics_only``) raises ValueError without ``x`` and ``labels``.
+    ``metrics_only``) raises ValueError without ``x`` and ``labels``; one that
+    trains imports scipy (for ``gnn.shift_matrix``) once, before any worker
+    forks, so that no worker imports it again.
     """
     global _SWEEP
     if not plan.metrics_only and (x is None or labels is None):
@@ -411,6 +415,8 @@ def run_experiment(
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
 
+    if gnn is not None:
+        import scipy.sparse  # shift_matrix's import, made once before any worker forks
     _SWEEP = (cells, g, x, labels, gnn, plan.dataset_id, ordered, g.edges())
     serial = (_run_sweep_cell(i) for i in range(len(cells)))
     results = _run_forked(cells, plan.workers) if plan.workers > 1 else serial
@@ -516,8 +522,10 @@ def run_bench_dims(
 
 
 def write_bench_csv(rows: list[BenchRow], path) -> None:
-    with open(Path(path), "w") as fh:
+    def write(fh):
         fh.write(",".join(BENCH_COLUMNS) + "\n")
         for r in rows:
             vals = [r.m_target, r.m, r.n, r.d, r.t_scores, r.t_homophily, r.t_select, r.t_total]
             fh.write(",".join(_csv_cell(v) for v in vals) + "\n")
+
+    _write_whole(path, write)

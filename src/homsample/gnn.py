@@ -31,13 +31,16 @@ float64 numpy and deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .features import NormalizedFeatures, as_feature_matrix, normalize_features
 from .graph import Graph
+
+if TYPE_CHECKING:  # shift_matrix imports it when called, so only training loads scipy
+    import scipy.sparse as sp
 
 SHIFT_CHOICES = ("gcn_norm", "adjacency", "laplacian")
 
@@ -101,6 +104,8 @@ def shift_matrix(g: Graph, kind: str = "gcn_norm") -> sp.csr_array:
     loops, D^{-1/2} (A + I) D^{-1/2}; ``adjacency`` and ``laplacian`` are
     the plain alternatives.
     """
+    import scipy.sparse as sp
+
     n = g.n
     if kind == "gcn_norm":
         # one pass: each sorted row takes its diagonal after its smaller columns, and

@@ -467,31 +467,56 @@ def _load_entry(entry: Path, kind: str):
     return _freeze(Graph(n=n, m=indices.size // 2, indptr=indptr, indices=indices))
 
 
+def _temp_name(path: Path) -> Path:
+    """A hidden name beside ``path`` that no other process or call picks."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+
+
+def _write_whole(path, write, mode: str = "w", **open_kw) -> None:
+    """Call ``write(fh)`` on a new file beside ``path``, then rename it to ``path``.
+
+    ``path`` appears whole or not at all: a failed or interrupted write
+    leaves what was there and removes its temp file. ``mode`` and
+    ``open_kw`` are ``open``'s. A ``path`` that exists and is not a regular
+    file (a directory, ``/dev/stdout``) is opened in place instead.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, mode, **open_kw) as fh:
+            write(fh)
+        return
+    tmp = _temp_name(path)
+    try:
+        try:  # O_EXCL: a unique name per writer; mode 0o666 less the umask, as for open()
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:  # named by the path asked for (a missing directory)
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        with os.fdopen(fd, mode, **open_kw) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)  # gone already once the file is in place
+
+
 def _store_entry(entry: Path, stem: str, source: Path | None, digest: str, arrays: dict) -> None:
     """Write ``entry`` unless ``source`` no longer hashes to ``digest``; drop the other ``stem`` entries.
 
     A None ``source`` is not hashed again: its caller has just hashed it.
-    The entry appears whole or not at all (a temp file and ``os.replace``).
+    The entry appears whole or not at all (``_write_whole``).
     Any OSError (a read-only directory, a full disk) leaves the cache as it was.
     """
-    tmp = entry.parent / f".{entry.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         if source is not None and _file_digest(source) != digest:  # rewritten while it was parsed
             return
         entry.parent.mkdir(exist_ok=True)
-        # O_EXCL: a unique name per writer; mode 0o666 less the umask, as for open()
-        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, entry)
+        _write_whole(entry, lambda fh: np.savez(fh, **arrays), "wb")
         same_input = re.compile(re.escape(stem) + r"\.[^.]+\.[0-9a-f]{64}\.npz")
         for old in entry.parent.iterdir():
             if old.name != entry.name and same_input.fullmatch(old.name):
                 old.unlink(missing_ok=True)
     except OSError:
         pass
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)  # gone already once the entry is in place
 
 
 def _no_store() -> None:
@@ -660,7 +685,7 @@ def _copy_rows(fh, row_fmt: str, x: np.ndarray, source, digest: str | None, n: i
                 return False
             src.seek(0)
         todo = ~checked[ids]
-        tmp = Path(fh.name).with_name(f".{Path(fh.name).name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        tmp = _temp_name(Path(fh.name))
         with open(tmp, "x+") as made:
             os.unlink(tmp)
             _write_rows(made, row_fmt, x if todo.all() else x[todo])  # x itself: no copy on a first sample
@@ -775,7 +800,7 @@ def report_to_text(report: MetricsReport) -> str:
 
 
 def write_report(report: MetricsReport, path) -> None:
-    Path(path).write_text(report_to_text(report))
+    _write_whole(path, lambda fh: fh.write(report_to_text(report)))
 
 
 _REPORT_TYPES = {"dataset": str, "method": str, "bound_satisfied": bool, **dict.fromkeys(_REPORT_INTS, int)}
@@ -808,4 +833,4 @@ def read_report(path) -> MetricsReport:
 
 def write_timings(timings: dict[str, float], path) -> None:
     """Wall-clock sidecar; not canonical and excluded from determinism checks."""
-    Path(path).write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
+    _write_whole(path, lambda fh: fh.write(json.dumps(timings, indent=2, sort_keys=True) + "\n"))

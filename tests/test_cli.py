@@ -193,17 +193,102 @@ def test_sample_into_a_used_directory_leaves_no_older_table(tmp_path):
     assert (out / "labels.csv").exists() and not (out / "features.csv").exists()
 
 
+def _run_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports this homsample."""
+    src = os.path.dirname(os.path.dirname(hs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # the fork-based writers and the experiment pool import nothing at start-up
     code = (
         "import sys, homsample.cli; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
-    src = os.path.dirname(os.path.dirname(hs.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+# Run in order by one process, as ``homsample`` argument lines; {d} is a directory.
+SCIPY_FREE_COMMANDS = [
+    "synth --spec blocks,n=60,intra=0.2,inter=0.05,fracs=0.5:0.5,d=3,tau=0.2,seed=1 --out {d}/data",
+    "homophily --graph {d}/data/graph.txt --features {d}/data/features.csv",
+    *(f"sample --graph {{d}}/data/graph.txt --features {{d}}/data/features.csv --method {m} "
+      f"--gamma 0.5 --out {{d}}/sample_{m}" for m in ("homophily", "random", "degree_greedy")),
+    "metrics --graph {d}/data/graph.txt --features {d}/data/features.csv --out {d}/report.json",
+    "experiment --graph {d}/data/graph.txt --features {d}/data/features.csv --rates 0.3,0.7 "
+    "--methods homophily,random,degree_greedy --reps 2 --metrics-only --workers 2 --out {d}/exp",
+    "bench --sizes 100,200 --dims 2 --repeats 1 --out {d}/bench.csv",
+]
+TRAINING_ARGS = "--labels {d}/data/labels.csv --epochs 2 --hidden 4"
+TRAINING_COMMANDS = {
+    "train-eval": "train-eval --graph {d}/data/graph.txt --features {d}/data/features.csv "
+                  "--gamma 0.5 " + TRAINING_ARGS,
+    "experiment": "experiment --graph {d}/data/graph.txt --features {d}/data/features.csv "
+                  "--rates 0.5 --methods random --reps 2 --out {d}/train " + TRAINING_ARGS,
+}
+
+
+def _scipy_loaded_after(directory, lines) -> dict:
+    """{step: whether scipy is loaded after it}, for the imports and then ``lines`` in a fresh process."""
+    code = """
+import contextlib, io, json, shlex, sys
+loaded = {}
+import homsample
+loaded["import homsample"] = "scipy" in sys.modules
+import homsample.cli
+loaded["import homsample.cli"] = "scipy" in sys.modules
+for line in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert homsample.cli.main(shlex.split(line.format(d=sys.argv[1]))) == 0, line
+    loaded[line] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+    return json.loads(_run_python(code, str(directory), json.dumps(lines)))
+
+
+def test_one_shot_commands_never_load_scipy(tmp_path):
+    # only training builds a sparse shift operator; this suite has scipy loaded, hence the subprocess
+    loaded = _scipy_loaded_after(tmp_path, SCIPY_FREE_COMMANDS)
+    assert loaded == dict.fromkeys(["import homsample", "import homsample.cli", *SCIPY_FREE_COMMANDS], False)
+
+
+@pytest.mark.parametrize("command", sorted(TRAINING_COMMANDS))
+def test_training_commands_load_scipy(tmp_path, command):
+    synth, train = SCIPY_FREE_COMMANDS[0], TRAINING_COMMANDS[command]
+    loaded = _scipy_loaded_after(tmp_path, [synth, train])
+    assert loaded == {"import homsample": False, "import homsample.cli": False, synth: False, train: True}
+
+
+def test_training_sweep_imports_scipy_before_its_workers_fork(tmp_path):
+    # a fresh process, since forked workers of this suite would inherit its scipy
+    code = """
+import os, sys, tempfile
+from homsample import experiments
+from homsample.cli import main
+parent = os.getpid()
+real_run_cell = experiments.run_cell
+
+def marked(*args, **kwargs):
+    # one file per call, so calls in forked workers count too
+    state = "loaded" if "scipy.sparse" in sys.modules else "missing"
+    where = "parent" if os.getpid() == parent else "worker"
+    os.close(tempfile.mkstemp(prefix=f"{state}_{where}_", dir=sys.argv[1])[0])
+    return real_run_cell(*args, **kwargs)
+
+experiments.run_cell = marked
+sys.exit(main(sys.argv[2:]))
+"""
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    _run_python(code, str(markers), "experiment", "--synth", "blocks,n=60,intra=0.2,inter=0.05,d=3,seed=1",
+                "--rates", "0.4,0.8", "--methods", "homophily,random", "--reps", "2", "--epochs", "2",
+                "--hidden", "4", "--workers", "2", "--out", str(tmp_path / "out"))
+    seen = sorted("_".join(p.name.split("_")[:2]) for p in markers.iterdir())
+    assert seen == ["loaded_worker"] * 6
 
 
 def test_metrics_command_writes_report(p3_dir, capsys):

@@ -28,7 +28,9 @@ from homsample.io_formats import (
     write_labels_csv,
     write_report,
     write_sample,
+    write_timings,
 )
+from homsample.experiments import BenchRow, write_bench_csv, write_summary_csv
 from homsample.sampling import SampleSpec
 
 from util import path_graph, random_graph
@@ -262,6 +264,36 @@ def test_read_report_takes_integral_floats_and_rejects_a_false_bound(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(DataError, match="missing report field 'dataset'"):
         read_report(p)
+
+
+WHOLE_WRITERS = {
+    "report": lambda p: write_report(make_report(), p),
+    "timings": lambda p: write_timings({"sample": 0.25, "metrics": 0.5}, p),
+    "summary": lambda p: write_summary_csv([{"dataset": "d", "gamma": 0.5, "method": "random"}], p),
+    "bench": lambda p: write_bench_csv([BenchRow(10, 9, 8, 2, 0.1, 0.2, 0.3)], p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_WRITERS))
+def test_writers_leave_the_old_bytes_or_no_file_when_the_rename_fails(tmp_path, monkeypatch, name):
+    write = WHOLE_WRITERS[name]
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_bytes(b"old bytes, no newline")
+    write(tmp_path / "ok")
+    expected = (tmp_path / "ok").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for p in (old, new):
+        with pytest.raises(OSError, match="cannot rename"):
+            write(p)
+    assert old.read_bytes() == b"old bytes, no newline" and not new.exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ok", "old"]  # no temp file left
+    monkeypatch.undo()
+    write(old)
+    assert old.read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------
