@@ -14,11 +14,12 @@ line-by-line reader, which alone gives their result or their
 ``file:line[:col]`` error; on every file the bulk parse accepts, both
 readers give identical arrays (but a CSV cell longer than the ``csv``
 module's 131072-character field limit parses instead of raising
-``csv.Error``). Writers format blocks of rows with one ``%``
+``csv.Error``). Every file is written whole, to a temp file renamed into
+place (``_write_whole``). Writers format blocks of rows with one ``%``
 operation each (``"%.17g" % v == format(v, ".17g")``); the feature writer
-stops at the first row with a non-finite value and raises. A large table
-is split into contiguous row ranges formatted by up to one forked process
-per usable CPU, and the file is byte-identical to a one-process write.
+raises on a non-finite value before it writes a byte. A large table is
+split into contiguous row ranges formatted by up to one forked process per
+usable CPU, and the file is byte-identical to a one-process write.
 
 The readers are pure parsers. ``read_cached`` puts a content-keyed cache in
 front of them: each parse is stored once as binary arrays next to the input
@@ -78,7 +79,7 @@ def _write_blocks(fh, row_fmt: str, cols: tuple, rows: int) -> None:
         fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
+def _write_rows(fh, row_fmt: str, *cols: np.ndarray, path=None) -> None:
     """Write row i of the table ``cols`` as ``row_fmt % tuple(row i)``.
 
     The table's columns are those of ``cols`` side by side: each is 1-d (one
@@ -88,17 +89,17 @@ def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
 
     A table of at least ``2 * _SPLIT_VALUES`` values bound for a regular file
     is split into contiguous row ranges, one per usable CPU. A forked child
-    formats each range after the first into an unnamed temp file beside the
-    output, while this process formats the first straight into ``fh``; the
-    children's bytes are then appended in order, so the file is the one the
-    serial loop writes. A range whose child fails is formatted here instead,
-    and no child or temp file outlives the call. ``fh`` may itself be an
-    unlinked temp file (``_copy_rows``): only its name's directory is used.
+    formats each range after the first into a scratch file beside ``path``
+    (the output's; None writes serially), while this process formats the
+    first straight into ``fh``; the children's bytes are then appended in
+    order, so the file is the one the serial loop writes. A range whose
+    child fails is formatted here instead, and no child or scratch file
+    outlives the call.
     """
     n_rows = cols[0].shape[0]
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
     rows = max(1, _BLOCK_VALUES // max(1, width))
-    tmps = _range_files(fh, n_rows, n_rows * width)
+    tmps = _range_files(fh, path, n_rows, n_rows * width)
     if not tmps:
         return _write_blocks(fh, row_fmt, cols, rows)
     parts = len(tmps) + 1
@@ -129,21 +130,27 @@ def _write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
             os.close(fd)
 
 
-def _range_files(fh, n_rows: int, n_values: int) -> list[int]:
-    """An unnamed temp file beside ``fh``'s regular file for each range after the first.
+def _scratch_file(path) -> int:
+    """A read-write descriptor of a new unnamed file beside ``path`` (``O_TMPFILE``: gone once closed).
 
-    [] when the write is not split: one usable CPU, a small table, no file
-    name, not a regular file, a directory it cannot write to, or no
-    ``O_TMPFILE`` (not Linux, or the directory's filesystem lacks it).
+    OSError or AttributeError where the platform or the filesystem cannot make one.
+    """
+    return os.open(os.path.dirname(os.path.abspath(path)), os.O_TMPFILE | os.O_RDWR, 0o600)
+
+
+def _range_files(fh, path, n_rows: int, n_values: int) -> list[int]:
+    """A scratch file beside ``path`` for each range after the first.
+
+    [] when the write is not split: one usable CPU, a small table, ``fh``
+    not a regular file, no ``path``, or no scratch file (``_scratch_file``).
     """
     fds: list[int] = []
     try:
         parts = min(len(os.sched_getaffinity(0)), n_values // _SPLIT_VALUES, n_rows)
         if parts > 1 and stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and hasattr(os, "copy_file_range"):
-            where = os.path.dirname(os.path.abspath(fh.name))
             for _ in range(parts - 1):
-                fds.append(os.open(where, os.O_TMPFILE | os.O_RDWR, 0o600))
-    except (AttributeError, OSError, TypeError):
+                fds.append(_scratch_file(path))
+    except (AttributeError, OSError, TypeError):  # TypeError: a None path
         for fd in fds:
             os.close(fd)
         return []
@@ -282,10 +289,7 @@ def _read_edge_lines(path: Path) -> tuple[int | None, np.ndarray]:
 
 def write_edge_list(g: Graph, path) -> None:
     """Canonical form: ``n=`` header, one ``u v`` line per undirected edge, u < v."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(f"n={g.n}\n")
-        _write_rows(fh, "%d %d\n", *g.edges())
+    _write_table(path, "%d %d\n", *g.edges(), head=f"n={g.n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +330,7 @@ def _read_features_lines(path: Path) -> np.ndarray:
 
 
 def write_features_csv(x, path, source=None) -> None:
-    """One CSV row per node; raises after writing the rows before a non-finite one.
+    """One CSV row per node, written whole; a non-finite value raises before any byte is written.
 
     ``source`` is ``(file, digest, n, ids)`` when row i of ``x`` is row
     ``ids[i]`` (sorted, distinct) of the n-row features ``file`` that
@@ -335,16 +339,17 @@ def write_features_csv(x, path, source=None) -> None:
     (``_copy_rows``); the bytes written are the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
-    finite = np.isfinite(x).all(axis=1)
-    rows = x.shape[0] if finite.all() else int(finite.argmin())
+    if not np.isfinite(x).all():
+        _fmt_float(x[~np.isfinite(x)][0])  # raises on the first non-finite value
     row_fmt = ",".join(["%.17g"] * x.shape[1]) + "\n"
-    with open(Path(path), "w") as fh:
-        if source is None or rows < x.shape[0] or not _copy_rows(fh, row_fmt, x, *source):
+
+    def write(fh):
+        if source is None or not _copy_rows(fh, path, row_fmt, x, *source):
             fh.seek(0)
             fh.truncate()
-            _write_rows(fh, row_fmt, x[:rows])
-    for v in x[rows : rows + 1].flat:  # raises on the first non-finite value
-        _fmt_float(v)
+            _write_rows(fh, row_fmt, x, path=path)
+
+    _write_whole(path, write)
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -379,9 +384,7 @@ def _read_labels_lines(path: Path) -> np.ndarray:
 
 
 def write_labels_csv(labels, path) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
-    with open(Path(path), "w") as fh:
-        _write_rows(fh, "%d\n", labels)
+    _write_table(path, "%d\n", np.asarray(labels, dtype=np.int64))
 
 
 def check_sizes(g: Graph, x=None, labels=None) -> None:
@@ -467,25 +470,20 @@ def _load_entry(entry: Path, kind: str):
     return _freeze(Graph(n=n, m=indices.size // 2, indptr=indptr, indices=indices))
 
 
-def _temp_name(path: Path) -> Path:
-    """A hidden name beside ``path`` that no other process or call picks."""
-    return path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-
-
 def _write_whole(path, write, mode: str = "w", **open_kw) -> None:
     """Call ``write(fh)`` on a new file beside ``path``, then rename it to ``path``.
 
-    ``path`` appears whole or not at all: a failed or interrupted write
-    leaves what was there and removes its temp file. ``mode`` and
-    ``open_kw`` are ``open``'s. A ``path`` that exists and is not a regular
-    file (a directory, ``/dev/stdout``) is opened in place instead.
+    ``path`` appears whole or not at all: a failed or interrupted write leaves
+    what was there and removes its temp ``.<name>.<pid>.<hex>.tmp`` (a SIGKILL
+    leaves it). ``mode`` and ``open_kw`` are ``open``'s. A ``path`` that exists
+    and is not a regular file (a directory, ``/dev/stdout``) is opened in place.
     """
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, mode, **open_kw) as fh:
             write(fh)
         return
-    tmp = _temp_name(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         try:  # O_EXCL: a unique name per writer; mode 0o666 less the umask, as for open()
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -497,6 +495,16 @@ def _write_whole(path, write, mode: str = "w", **open_kw) -> None:
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)  # gone already once the file is in place
+
+
+def _write_table(path, row_fmt: str, *cols: np.ndarray, head: str = "") -> None:
+    """Write ``head``, then the rows of ``cols`` (``_write_rows``), to ``path`` whole."""
+
+    def write(fh):
+        fh.write(head)
+        _write_rows(fh, row_fmt, *cols, path=path)
+
+    _write_whole(path, write)
 
 
 def _store_entry(entry: Path, stem: str, source: Path | None, digest: str, arrays: dict) -> None:
@@ -641,25 +649,24 @@ def _gather(buf: bytes, starts: np.ndarray, rows: np.ndarray) -> bytes:
 _NOT_COPYABLE = {"offsets": np.empty(0, dtype=np.int64), "checked": np.empty(0, dtype=bool)}
 
 
-def _copy_rows(fh, row_fmt: str, x: np.ndarray, source, digest: str | None, n: int, ids) -> bool:
-    """Write ``x``, rows ``ids`` of the features file ``source``, to ``fh``, copying the rows it can.
+def _copy_rows(fh, path, row_fmt: str, x: np.ndarray, source, digest: str | None, n: int, ids) -> bool:
+    """Write ``x``, rows ``ids`` of the features file ``source``, to ``fh`` (bound for ``path``) as copies.
 
     The ``feature_rows`` entry of ``source`` for ``digest`` holds each row's
     byte offsets and a ``checked`` mask of rows proven equal to their
-    ``row_fmt`` rendering, or empty arrays when the file is not copyable.
-    A not copyable file, or a None digest, returns False at once: the caller
-    formats ``x``. A missing or malformed entry is rebuilt with every row
-    unchecked, from one scan for ``\\n`` (``_row_offsets``); a file that is
-    not one ``\\n``-terminated row per node is marked not copyable instead.
+    ``row_fmt`` rendering, or empty arrays when the file is not copyable. A
+    not copyable file, a None digest, or no ``_scratch_file`` returns False
+    at once: the caller formats ``x``. A missing or malformed entry is rebuilt
+    with every row unchecked, from one scan for ``\\n`` (``_row_offsets``); a
+    file that is not one ``\\n``-terminated row per node is marked not copyable.
 
     The unchecked kept rows are formatted first (``_write_rows``, so across
-    processes) into a temp file beside ``fh``, unlinked as soon as it is
-    opened. One pass over ``source`` then hashes it and, chunk by chunk,
-    compares the chunk's unchecked kept rows with the next bytes of the temp
-    file, marking them checked, and copies the chunk's kept rows to ``fh``.
-    The first chunk that differs marks the file not copyable: its kept rows
-    before the first unchecked one are copied, and ``x`` from that row on
-    is formatted.
+    processes) into a scratch file beside ``path``. One pass over ``source``
+    then hashes it and, chunk by chunk, compares the chunk's unchecked kept
+    rows with the next bytes of the scratch file, marking them checked, and
+    copies the chunk's kept rows to ``fh``. The first chunk that differs
+    marks the file not copyable (through ``_store_entry``'s re-hash) and
+    returns False: the caller truncates ``fh`` and formats ``x``.
 
     False when the pass's SHA-256 is not ``digest`` (the file changed since
     it was parsed): the caller formats ``x`` again and nothing is stored.
@@ -685,32 +692,26 @@ def _copy_rows(fh, row_fmt: str, x: np.ndarray, source, digest: str | None, n: i
                 return False
             src.seek(0)
         todo = ~checked[ids]
-        tmp = _temp_name(Path(fh.name))
-        with open(tmp, "x+") as made:
-            os.unlink(tmp)
-            _write_rows(made, row_fmt, x if todo.all() else x[todo])  # x itself: no copy on a first sample
+        try:
+            made = open(_scratch_file(path), "w+")
+        except (AttributeError, OSError):
+            return False
+        with made:
+            _write_rows(made, row_fmt, x if todo.all() else x[todo], path=path)  # no copy on a first sample
             made.seek(0)
-            out = fh.buffer
             for r0, buf, starts in _row_chunks(src, h, offsets):
-                if out is None:
-                    continue  # hashing the rest
                 a, b = np.searchsorted(ids, (r0, r0 + starts.size - 1))
                 local, new = ids[a:b] - r0, np.flatnonzero(todo[a:b])
                 want = _gather(buf, starts, local[new])
                 if made.buffer.read(len(want)) != want:
-                    out.write(_gather(buf, starts, local[: new[0]]))
-                    fh.flush()
-                    _write_rows(fh, row_fmt, x[a + new[0] :])
-                    out = None
-                else:
-                    checked[ids[a:b][new]] = True
-                    out.write(want if new.size == local.size else _gather(buf, starts, local))
+                    _store_entry(entry, stem, source, digest, _NOT_COPYABLE)
+                    return False
+                checked[ids[a:b][new]] = True
+                fh.buffer.write(want if new.size == local.size else _gather(buf, starts, local))
     if h.hexdigest() != digest:
         return False
-    if out is not None and not todo.any():  # nothing newly checked
-        return True
-    arrays = _NOT_COPYABLE if out is None else {"offsets": offsets, "checked": checked}
-    _store_entry(entry, stem, None, digest, arrays)
+    if todo.any():  # rows newly checked
+        _store_entry(entry, stem, None, digest, {"offsets": offsets, "checked": checked})
     return True
 
 
@@ -731,11 +732,9 @@ def write_sample(result: SampleResult, outdir, features_from=None) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     kept = result.kept
-    with open(outdir / "kept.txt", "w") as fh:
-        _write_rows(fh, "%d\n", kept)
+    _write_table(outdir / "kept.txt", "%d\n", kept)
     write_edge_list(result.subgraph, outdir / "edges.txt")
-    with open(outdir / "id_map.txt", "w") as fh:
-        _write_rows(fh, "%d %d\n", np.arange(kept.size), kept)
+    _write_table(outdir / "id_map.txt", "%d %d\n", np.arange(kept.size), kept)
     source = None if features_from is None else (*features_from, kept)
     for a, name, write in (
         (result.features, "features.csv", partial(write_features_csv, source=source)),

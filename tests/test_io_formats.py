@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -266,21 +267,58 @@ def test_read_report_takes_integral_floats_and_rejects_a_false_bound(tmp_path):
         read_report(p)
 
 
-WHOLE_WRITERS = {
-    "report": lambda p: write_report(make_report(), p),
-    "timings": lambda p: write_timings({"sample": 0.25, "metrics": 0.5}, p),
-    "summary": lambda p: write_summary_csv([{"dataset": "d", "gamma": 0.5, "method": "random"}], p),
-    "bench": lambda p: write_bench_csv([BenchRow(10, 9, 8, 2, 0.1, 0.2, 0.3)], p),
-}
+@functools.cache
+def _large_tables():
+    """(graph, features, labels, sample): every table of each holds more than ``2 * _SPLIT_VALUES`` values."""
+    rng = np.random.default_rng(21)
+    n = 80_000
+    g = hs.build_graph(rng.integers(0, n, size=(50_000, 2)), n=n)
+    x, y = rng.standard_normal((n, 1)), rng.integers(0, 5, size=n)
+    return g, x, y, hs.sample(g, SampleSpec(gamma=0.9, method="random", seed=1), x=x, labels=y)
 
 
-@pytest.mark.parametrize("name", sorted(WHOLE_WRITERS))
+def _whole_writers(inputs: Path) -> dict:
+    """Name -> a writer of one output path; ``inputs`` gets the features file that ``features_copied`` copies from."""
+    g, x, y, sample = _large_tables()
+    inputs.mkdir()
+    src = inputs / "features.csv"
+    write_features_csv(x, src)
+    source = (src, io_formats._file_digest(src), g.n, sample.kept)
+    return {
+        "report": lambda p: write_report(make_report(), p),
+        "timings": lambda p: write_timings({"sample": 0.25, "metrics": 0.5}, p),
+        "summary": lambda p: write_summary_csv([{"dataset": "d", "gamma": 0.5, "method": "random"}], p),
+        "bench": lambda p: write_bench_csv([BenchRow(10, 9, 8, 2, 0.1, 0.2, 0.3)], p),
+        "edge_list": lambda p: write_edge_list(g, p),
+        "features": lambda p: write_features_csv(x, p),
+        "features_copied": lambda p: write_features_csv(x[sample.kept], p, source=source),
+        "labels": lambda p: write_labels_csv(y, p),
+        "sample": lambda p: write_sample(sample, p),
+    }
+
+
+def _files_below(p: Path) -> dict:
+    """Relative name -> bytes of the file ``p``, or of every file below the directory ``p``; {} if absent."""
+    if p.is_file():
+        return {"": p.read_bytes()}
+    return {str(f.relative_to(p)): f.read_bytes() for f in p.rglob("*")} if p.exists() else {}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["bench", "edge_list", "features", "features_copied", "labels", "report", "sample", "summary", "timings"],
+)
 def test_writers_leave_the_old_bytes_or_no_file_when_the_rename_fails(tmp_path, monkeypatch, name):
-    write = WHOLE_WRITERS[name]
-    old, new = tmp_path / "old", tmp_path / "new"
-    old.write_bytes(b"old bytes, no newline")
-    write(tmp_path / "ok")
-    expected = (tmp_path / "ok").read_bytes()
+    write = _whole_writers(tmp_path / "in")[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    old, new = out / "old", out / "new"
+    write(out / "ok")
+    expected = _files_below(out / "ok")
+    for rel in expected:  # the files a write makes, each holding other bytes
+        (old / rel).parent.mkdir(exist_ok=True)
+        (old / rel).write_bytes(b"old bytes, no newline")
+    planted = _files_below(old)
 
     def refuse(src, dst):
         raise OSError(f"cannot rename to {dst}")
@@ -289,11 +327,11 @@ def test_writers_leave_the_old_bytes_or_no_file_when_the_rename_fails(tmp_path, 
     for p in (old, new):
         with pytest.raises(OSError, match="cannot rename"):
             write(p)
-    assert old.read_bytes() == b"old bytes, no newline" and not new.exists()
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["ok", "old"]  # no temp file left
+    assert _files_below(old) == planted and _files_below(new) == {}  # a sample makes its directory
+    assert sorted(f.name for f in out.iterdir() if f.name != "new") == ["ok", "old"]  # no temp file left
     monkeypatch.undo()
     write(old)
-    assert old.read_bytes() == expected
+    assert _files_below(old) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +563,7 @@ def test_non_finite_features_raise_the_same_message(bad, tmp_path):
     message = f"cannot serialize non-finite value {np.float64(bad)!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         write_features_csv(x, tmp_path / "x.csv")
-    # the rows before the bad one are written, as they were row by row
-    assert (tmp_path / "x.csv").read_text() == "1,1,1\n" * 1500
+    assert list(tmp_path.iterdir()) == []  # raised before any byte: no file and no temp file
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +586,8 @@ def _table(shape, kind):
     return a
 
 
-def _write_with_cpus(monkeypatch, cpus, path, row_fmt, a):
-    """The file that ``_write_rows`` writes between a buffered header and a trailer."""
+def _count_forks(m) -> list:
+    """Patch ``os.fork`` through the monkeypatch ``m``; the list gets an item per fork."""
     forks = []
     real_fork = os.fork
 
@@ -558,12 +595,18 @@ def _write_with_cpus(monkeypatch, cpus, path, row_fmt, a):
         forks.append(1)
         return real_fork()
 
+    m.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _write_with_cpus(monkeypatch, cpus, path, row_fmt, a):
+    """The file that ``_write_rows`` writes between a buffered header and a trailer."""
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        m.setattr(os, "fork", counting_fork)
+        forks = _count_forks(m)
         with open(path, "w") as fh:
             fh.write("head\n")
-            io_formats._write_rows(fh, row_fmt, a)
+            io_formats._write_rows(fh, row_fmt, a, path=path)
             fh.write("tail\n")
     return path.read_bytes(), len(forks)
 
@@ -590,6 +633,25 @@ def test_split_write_equals_one_cpu_write(shape, kind, tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize(
+    "name, forks", [("edge_list", 1), ("features", 1), ("features_copied", 1), ("labels", 1), ("sample", 5)]
+)
+def test_public_writers_split_each_large_table(name, forks, tmp_path, monkeypatch):
+    write = _whole_writers(tmp_path / "in")[name]
+    got = {}
+    for cpus in (2, 1):  # features_copied: a first sample at 2 CPUs, so its kept rows are formatted
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            calls = _count_forks(m)
+            write(tmp_path / f"cpus{cpus}")
+        got[cpus] = len(calls), _files_below(tmp_path / f"cpus{cpus}")
+    assert got[2][0] == forks and got[1][0] == 0
+    assert got[2][1] == got[1][1]
+    if name == "features_copied":  # the copy pass ran, and stored the rows it checked
+        (entry,) = os.listdir(tmp_path / "in" / io_formats.CACHE_DIR)
+        assert entry.startswith("features.csv.feature_rows.")
+
+
 def test_split_write_stops_at_a_non_finite_row(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     x = np.ones((10000, 16))
@@ -597,7 +659,7 @@ def test_split_write_stops_at_a_non_finite_row(tmp_path, monkeypatch):
     message = f"cannot serialize non-finite value {np.float64('nan')!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         write_features_csv(x, tmp_path / "x.csv")
-    assert (tmp_path / "x.csv").read_text() == (",".join(["1"] * 16) + "\n") * 7001
+    assert list(tmp_path.iterdir()) == []  # raised before any byte is written
 
 
 def _patch_blocks(monkeypatch, in_child=None, in_parent=None):
@@ -665,7 +727,7 @@ def test_error_in_the_parents_range_reaps_every_child(tmp_path, monkeypatch):
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == []  # no file and no temp file
 
 
 @pytest.mark.parametrize("where", ["one-cpu", "small-table", "stringio", "dev-null", "no-O_TMPFILE"])
@@ -685,7 +747,7 @@ def test_serial_writes_never_fork(where, tmp_path, monkeypatch):
         assert fh.getvalue() == want
     elif where == "dev-null":
         with open(os.devnull, "w") as fh:
-            io_formats._write_rows(fh, "%d\n", a)
+            io_formats._write_rows(fh, "%d\n", a, path=os.devnull)
     else:
         write_labels_csv(a, tmp_path / "y.csv")
         assert (tmp_path / "y.csv").read_text() == want
